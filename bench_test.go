@@ -1,9 +1,11 @@
 package tcsim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"tcsim"
+	"tcsim/internal/asm"
 	"tcsim/internal/experiments"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/replace"
@@ -142,101 +144,108 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// cycleLoopBudget bounds the captured compress trace the cycle-loop
+// benchmarks and allocation guards replay.
+const cycleLoopBudget = 300_000
+
+// captureCompress captures the compress trace the cycle-loop benchmarks
+// replay.
+func captureCompress(tb testing.TB) (*tracestore.Trace, *asm.Program) {
+	tb.Helper()
+	w, _ := workload.ByName("compress")
+	prog := w.Build()
+	tr, err := tracestore.Capture("compress", prog, cycleLoopBudget)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr, prog
+}
+
+// warmReplaySim returns a simulator replaying tr, advanced 30k cycles so
+// the trace cache, uop pool and ring buffers are warm. A non-empty pol
+// selects that replacement policy for the trace cache and L1I and binds
+// the trace as the future index oracle policies need.
+func warmReplaySim(tb testing.TB, tr *tracestore.Trace, prog *asm.Program, pol string) *pipeline.Simulator {
+	tb.Helper()
+	cfg := pipeline.DefaultConfig()
+	cfg.MaxInsts = cycleLoopBudget
+	if pol != "" {
+		cfg.TCache.Policy = pol
+		cfg.Cache.L1IPolicy = pol
+		cfg.Future = tr
+	}
+	cfg.Oracle = tr.NewReplay()
+	sim, err := pipeline.New(cfg, prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 30_000; i++ {
+		sim.Step()
+	}
+	if sim.Done() {
+		tb.Fatal("replay finished during warmup")
+	}
+	return sim
+}
+
+// benchSteps advances sim one cycle per iteration, re-warming a fresh
+// simulator (off the clock) when the replay runs out.
+func benchSteps(b *testing.B, sim *pipeline.Simulator, rewarm func() *pipeline.Simulator) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sim.Done() {
+			b.StopTimer()
+			sim = rewarm()
+			b.StartTimer()
+		}
+		sim.Step()
+	}
+}
+
+// stepMallocs advances sim n cycles and returns the exact number of heap
+// allocations made meanwhile, read from runtime.MemStats.Mallocs with
+// GOMAXPROCS pinned to 1. BenchmarkResult.AllocsPerOp would round
+// mallocs/op down to an integer, hiding up to b.N-1 allocations.
+func stepMallocs(sim *pipeline.Simulator, n int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sim.Step()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // BenchmarkCycleLoop measures the steady-state per-cycle path in
 // isolation: one warm simulator advanced one cycle per iteration, one
-// sub-benchmark per registered replacement policy. The allocs/op report
-// pins the allocation-free invariant (uop pool, reused fetch latch,
-// recycled checkpoints and trace lines, and the policy's victim path —
-// including the belady oracle's future-index binary searches); any
-// regression shows up as a non-zero count. All variants replay a
+// sub-benchmark per registered replacement policy. All variants replay a
 // captured trace so oracle policies have their future index; the
 // default policy's live-emulation path is covered by
 // BenchmarkCycleLoop/lru plus BenchmarkReplayCycleLoop's counterpart.
+// TestCycleLoopStaysAllocationFree pins the same loop at zero heap
+// allocations (uop pool, reused fetch latch, recycled checkpoints and
+// trace lines, and the policy's victim path — including the belady
+// oracle's future-index binary searches).
 func BenchmarkCycleLoop(b *testing.B) {
-	const budget = 300_000
-	w, _ := workload.ByName("compress")
-	prog := w.Build()
-	tr, err := tracestore.Capture("compress", prog, budget)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr, prog := captureCompress(b)
 	for _, pol := range replace.Names() {
 		b.Run(pol, func(b *testing.B) {
-			cfg := pipeline.DefaultConfig()
-			cfg.MaxInsts = budget
-			cfg.TCache.Policy = pol
-			cfg.Cache.L1IPolicy = pol
-			cfg.Future = tr
-			warm := func() *pipeline.Simulator {
-				c := cfg
-				c.Oracle = tr.NewReplay()
-				sim, err := pipeline.New(c, prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < 30_000; i++ {
-					sim.Step()
-				}
-				if sim.Done() {
-					b.Fatal("replay finished during warmup")
-				}
-				return sim
-			}
-			sim := warm()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sim.Done() {
-					b.StopTimer()
-					sim = warm()
-					b.StartTimer()
-				}
-				sim.Step()
-			}
+			rewarm := func() *pipeline.Simulator { return warmReplaySim(b, tr, prog, pol) }
+			benchSteps(b, rewarm(), rewarm)
 		})
 	}
 }
 
 // BenchmarkReplayCycleLoop is BenchmarkCycleLoop with the oracle served
 // from a captured trace instead of live emulation: the steady-state
-// cycle loop of a replayed run. Its allocs/op report pins the trace
-// store's zero-allocation replay invariant.
+// cycle loop of a replayed run. TestReplayStaysAllocationFree pins it at
+// zero heap allocations.
 func BenchmarkReplayCycleLoop(b *testing.B) {
-	const budget = 300_000
-	w, _ := workload.ByName("compress")
-	prog := w.Build()
-	tr, err := tracestore.Capture("compress", prog, budget)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.MaxInsts = budget
-	warm := func() *pipeline.Simulator {
-		c := cfg
-		c.Oracle = tr.NewReplay()
-		sim, err := pipeline.New(c, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 30_000; i++ {
-			sim.Step()
-		}
-		if sim.Done() {
-			b.Fatal("replay finished during warmup")
-		}
-		return sim
-	}
-	sim := warm()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sim.Done() {
-			b.StopTimer()
-			sim = warm()
-			b.StartTimer()
-		}
-		sim.Step()
-	}
+	tr, prog := captureCompress(b)
+	rewarm := func() *pipeline.Simulator { return warmReplaySim(b, tr, prog, "") }
+	benchSteps(b, rewarm(), rewarm)
 }
 
 // BenchmarkFastForward measures the sampled-mode functional warm-up

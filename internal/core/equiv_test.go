@@ -239,8 +239,8 @@ func TestSemanticEquivalenceLegalPermutations(t *testing.T) {
 	for _, spec := range perms {
 		cfg := DefaultConfig()
 		cfg.Passes = spec
-		cfg.CheckPasses = true                // validate invariants between passes
-		cfg.ReassocCrossBlockOnly = false     // widest applicability
+		cfg.CheckPasses = true            // validate invariants between passes
+		cfg.ReassocCrossBlockOnly = false // widest applicability
 		checkSemanticEquivalence(t, cfg, mixedProgram, 20000)
 	}
 }

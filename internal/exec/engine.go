@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tcsim/internal/cache"
 	"tcsim/internal/isa"
 )
@@ -77,10 +79,11 @@ type Stats struct {
 // clustered reservation stations and functional units, and the memory
 // scheduler.
 //
-// The window is a power-of-two ring buffer in fetch order, so the
-// per-cycle head pruning is O(retired) instead of an O(window) memmove,
-// and occupancy/RS/branch counts are maintained incrementally instead
-// of recounted by scanning.
+// Per-cycle work scales with the uops that can progress, not with the
+// window. The window is a power-of-two ring buffer in fetch order, so
+// head pruning is O(retired); select walks one reservation-station
+// queue per FU; and move adoption, branch resolution and inactive-block
+// handling walk short fetch-order lists instead of the window.
 type Engine struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -88,21 +91,99 @@ type Engine struct {
 	buf  []*UOp // power-of-two ring; fetch (Seq) order
 	head int
 	n    int
+	live int // issued, not yet retired or dead
 
-	live         int // issued, not yet retired or dead
-	inRS         int // uops currently holding a reservation-station entry
-	movesWaiting int // marked moves that have not adopted a result yet
-	inactive     int // live inactive-issued uops
-	unresolved   int // live unresolved control transfers
+	// rs holds one reservation-station queue per FU in fetch order.
+	// Kill removes a uop's entry at once, so a queue never holds a dead
+	// (and possibly recycled) uop.
+	rs     [][]rsEntry
+	rsNeed []int // per-FU scratch for RSSpaceFor
 
-	rsCount    []int
-	dispatched []bool // per-FU per-cycle scratch
-	rsNeed     []int  // per-FU scratch for RSSpaceFor
+	// Fetch-order lists of the uops a per-cycle pass must visit. An entry
+	// goes stale when its uop dies, resolves, activates or adopts a
+	// result; walkers skip stale entries, and PruneRecycle purges them
+	// before it hands any uop to the pool.
+	branches []*UOp // control transfers issued unresolved
+	moves    []*UOp // marked moves waiting to adopt their producer's result
+	inactive []*UOp // inactive-issued uops
+	stale    bool   // a list may hold entries of dead or activated uops
+	resolved bool   // branches may hold resolved entries
 
 	stores    []*UOp // live stores in fetch order (compacted each prune)
 	waitLoads []*UOp // loads past AGEN waiting on the memory scheduler
 
 	Stats Stats
+}
+
+// rsEntry is one reservation-station slot. Its dispatch-ready time is
+// computed once, when the last producer the uop waits on has a
+// scheduled result. Until then the entry sleeps on the first producer
+// found unscheduled (waitOn), and select skips it without touching any
+// uop; the producer wakes it when its result is scheduled or it dies.
+//
+// A known ready time is final: every producer's result time is fixed
+// once set, and a consumer never outlives its producer (squashes kill a
+// Seq suffix; inactive blocks are discarded whole, and only their own
+// younger members consume their results).
+type rsEntry struct {
+	u       *UOp
+	waitOn  *UOp   // producer the entry sleeps on
+	ready   uint64 // dispatch-ready cycle, once known
+	known   bool
+	asleep  bool  // on waitOn's waiter list
+	delayed bool  // ready includes a cross-cluster bypass delay (Fig 7)
+	wait    uint8 // operand index of waitOn
+}
+
+// poll advances an awake entry's readiness and reports whether its
+// ready time is known; otherwise the entry now sleeps on the producer
+// it found unscheduled. Memory operations wait only on address
+// operands.
+func (r *rsEntry) poll(penalty int) bool {
+	u := r.u
+	addrOnly := u.IsMem()
+	for k := int(r.wait); k < u.NSrc; k++ {
+		if addrOnly && !u.SrcAddr[k] {
+			continue
+		}
+		if p := u.SrcProd[k]; p != nil && !p.HasResult && !p.Dead {
+			r.waitOn, r.wait, r.asleep = p, uint8(k), true
+			u.nextWaiter, p.waiters = p.waiters, u
+			return false
+		}
+	}
+	r.ready, r.delayed, _ = u.readyAt(u.Cluster, penalty, addrOnly)
+	r.known, r.waitOn = true, nil
+	return true
+}
+
+// wake wakes the entries asleep on p, once p's result is scheduled or p
+// has died. Every uop on the list is RS-resident and asleep: a consumer
+// leaves the list when woken, and Kill unlinks one that dies asleep.
+func (e *Engine) wake(p *UOp) {
+	for w := p.waiters; w != nil; {
+		next := w.nextWaiter
+		w.nextWaiter = nil
+		q := e.rs[w.FU]
+		for i := range q {
+			if q[i].u == w {
+				q[i].asleep = false
+				break
+			}
+		}
+		w = next
+	}
+	p.waiters = nil
+}
+
+// unwait takes u off the waiter list of p.
+func unwait(p, u *UOp) {
+	for l := &p.waiters; *l != nil; l = &(*l).nextWaiter {
+		if *l == u {
+			*l, u.nextWaiter = u.nextWaiter, nil
+			return
+		}
+	}
 }
 
 // NewEngine builds a backend over the given memory hierarchy.
@@ -113,13 +194,16 @@ func NewEngine(cfg Config, hier *cache.Hierarchy) *Engine {
 		ringCap *= 2
 	}
 	nFU := cfg.Clusters * cfg.FUsPerCluster
+	rs := make([][]rsEntry, nFU)
+	for f := range rs {
+		rs[f] = make([]rsEntry, 0, cfg.RSPerFU)
+	}
 	return &Engine{
-		cfg:        cfg,
-		hier:       hier,
-		buf:        make([]*UOp, ringCap),
-		rsCount:    make([]int, nFU),
-		dispatched: make([]bool, nFU),
-		rsNeed:     make([]int, nFU),
+		cfg:    cfg,
+		hier:   hier,
+		buf:    make([]*UOp, ringCap),
+		rs:     rs,
+		rsNeed: make([]int, nFU),
 	}
 }
 
@@ -132,6 +216,9 @@ func (e *Engine) FUs() int { return e.cfg.Clusters * e.cfg.FUsPerCluster }
 // Len reports the window occupancy including not-yet-pruned retired and
 // dead entries.
 func (e *Engine) Len() int { return e.n }
+
+// Live reports the issued uops that have neither retired nor died.
+func (e *Engine) Live() int { return e.live }
 
 // At returns the i-th window entry in fetch order (0 = oldest).
 func (e *Engine) At(i int) *UOp { return e.buf[(e.head+i)&(len(e.buf)-1)] }
@@ -161,7 +248,7 @@ func (e *Engine) RSSpaceFor(slots []int) bool {
 	}
 	ok := true
 	for _, s := range slots {
-		if e.rsCount[s]+e.rsNeed[s] > e.cfg.RSPerFU {
+		if len(e.rs[s])+e.rsNeed[s] > e.cfg.RSPerFU {
 			ok = false
 			break
 		}
@@ -183,7 +270,7 @@ func (e *Engine) Issue(u *UOp, cycle uint64) {
 		u.State = StateInRS // no RS entry; tracked for adoption
 		e.tryAdoptMove(u)
 		if !u.HasResult {
-			e.movesWaiting++
+			e.moves = append(e.moves, u)
 		}
 	case !u.NeedsFU():
 		u.State = StateComplete
@@ -194,15 +281,14 @@ func (e *Engine) Issue(u *UOp, cycle uint64) {
 	default:
 		u.State = StateInRS
 		u.InRS = true
-		e.rsCount[u.FU]++
-		e.inRS++
+		e.rs[u.FU] = append(e.rs[u.FU], rsEntry{u: u})
 	}
 	e.live++
 	if u.IsBranch && !u.Resolved {
-		e.unresolved++
+		e.branches = append(e.branches, u)
 	}
 	if u.Inactive {
-		e.inactive++
+		e.inactive = append(e.inactive, u)
 	}
 	if u.IsStore() {
 		e.stores = append(e.stores, u)
@@ -222,6 +308,7 @@ func (e *Engine) tryAdoptMove(u *UOp) {
 		u.ResultTime = u.IssueCycle
 		u.ResultCluster = GlobalCluster
 		u.State = StateComplete
+		e.wake(u)
 		return
 	}
 	p := u.SrcProd[0]
@@ -233,6 +320,7 @@ func (e *Engine) tryAdoptMove(u *UOp) {
 		}
 		u.ResultCluster = p.ResultCluster
 		u.State = StateComplete
+		e.wake(u)
 	}
 }
 
@@ -248,79 +336,45 @@ func (e *Engine) latency(op isa.Op) int {
 	}
 }
 
-// Cycle advances the backend one cycle: adopts move results, dispatches
-// ready uops (one per FU, oldest first), computes store data
+// Cycle advances the backend one cycle: dispatches ready uops (one per
+// FU, oldest first), adopts move results, computes store data
 // availability, and runs the memory scheduler.
+//
+// Selecting per FU picks exactly the uops a fetch-order scan of the
+// whole window would: every latency is at least one cycle, so nothing
+// dispatched this cycle can make another uop ready this cycle, and the
+// order in which FUs are served does not matter.
 func (e *Engine) Cycle(c uint64) {
-	// Dispatch: oldest ready uop per FU. The window is in Seq order, so
-	// the first ready candidate per FU is the oldest. The scan stops as
-	// soon as every RS-resident uop has been considered.
-	if e.inRS > 0 {
-		d := e.dispatched
-		for i := range d {
-			d[i] = false
-		}
-		remaining := e.inRS
-		for i := 0; i < e.n && remaining > 0; i++ {
-			u := e.At(i)
-			if u.Dead || !u.InRS {
+	penalty := e.cfg.CrossClusterPenalty
+	for f, q := range e.rs {
+		for i := range q {
+			r := &q[i]
+			if r.asleep || !r.known && !r.poll(penalty) || r.ready > c {
 				continue
 			}
-			remaining--
-			if d[u.FU] {
-				continue
-			}
-			ready, delayed, known := u.readyAt(u.Cluster, e.cfg.CrossClusterPenalty, u.IsMem())
-			if !known || ready > c {
-				continue
-			}
-			d[u.FU] = true
-			u.InRS = false
-			e.rsCount[u.FU]--
-			e.inRS--
-			u.DispatchCycle = c
-			u.BypassDelayed = delayed
-			u.HadOperands = u.NSrc > 0
-			e.Stats.Dispatched++
-
-			switch {
-			case u.IsMem():
-				u.AddrTime = c + uint64(e.cfg.AgenLatency)
-				u.AddrKnown = true
-				if u.IsLoad() {
-					u.State = StateWaitMem
-					// Keep the wait list in Seq order (loads dispatch out
-					// of order): the memory scheduler must touch the data
-					// cache oldest-load-first or same-cycle LRU updates
-					// and allocations reorder and later misses shift.
-					e.waitLoads = append(e.waitLoads, u)
-					for j := len(e.waitLoads) - 1; j > 0 && e.waitLoads[j-1].Seq > u.Seq; j-- {
-						e.waitLoads[j-1], e.waitLoads[j] = e.waitLoads[j], e.waitLoads[j-1]
-					}
-				} else {
-					u.State = StateExecuting // store: waits for data
-				}
-			default:
-				u.HasResult = true
-				u.ResultTime = c + uint64(e.latency(u.Inst.Op))
-				u.ResultCluster = u.Cluster
-				u.State = StateComplete
-			}
+			u, delayed := r.u, r.delayed
+			e.removeRS(f, i)
+			e.dispatch(u, delayed, c)
+			break
 		}
 	}
 
 	// Move adoption after dispatch: a move whose producer scheduled this
-	// cycle adopts the producer's result timing immediately.
-	if e.movesWaiting > 0 {
-		for i := 0; i < e.n; i++ {
-			u := e.At(i)
-			if u.MoveBit && !u.Dead && !u.HasResult {
-				e.tryAdoptMove(u)
-				if u.HasResult {
-					e.movesWaiting--
-				}
+	// cycle adopts the producer's result timing immediately. Fetch order
+	// lets a move of a move adopt in the same pass.
+	if len(e.moves) > 0 {
+		kept := e.moves[:0]
+		for _, u := range e.moves {
+			if u.Dead {
+				continue
+			}
+			e.tryAdoptMove(u)
+			if !u.HasResult {
+				kept = append(kept, u)
 			}
 		}
+		clear(e.moves[len(kept):])
+		e.moves = kept
 	}
 
 	// Store data availability (data operands need not be ready at AGEN).
@@ -336,6 +390,49 @@ func (e *Engine) Cycle(c uint64) {
 	}
 
 	e.memSchedule(c)
+}
+
+// removeRS deletes entry i from FU f's reservation station, keeping the
+// queue in fetch order.
+func (e *Engine) removeRS(f, i int) {
+	q := e.rs[f]
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = rsEntry{}
+	e.rs[f] = q[:len(q)-1]
+}
+
+// dispatch sends a uop that has left its reservation station to its FU.
+func (e *Engine) dispatch(u *UOp, delayed bool, c uint64) {
+	u.InRS = false
+	u.DispatchCycle = c
+	u.BypassDelayed = delayed
+	u.HadOperands = u.NSrc > 0
+	e.Stats.Dispatched++
+
+	switch {
+	case u.IsMem():
+		u.AddrTime = c + uint64(e.cfg.AgenLatency)
+		u.AddrKnown = true
+		if u.IsLoad() {
+			u.State = StateWaitMem
+			// Keep the wait list in Seq order (loads dispatch out of
+			// order): the memory scheduler must touch the data cache
+			// oldest-load-first or same-cycle LRU updates and
+			// allocations reorder and later misses shift.
+			e.waitLoads = append(e.waitLoads, u)
+			for j := len(e.waitLoads) - 1; j > 0 && e.waitLoads[j-1].Seq > u.Seq; j-- {
+				e.waitLoads[j-1], e.waitLoads[j] = e.waitLoads[j], e.waitLoads[j-1]
+			}
+		} else {
+			u.State = StateExecuting // store: waits for data
+		}
+	default:
+		u.HasResult = true
+		u.ResultTime = c + uint64(e.latency(u.Inst.Op))
+		u.ResultCluster = u.Cluster
+		u.State = StateComplete
+		e.wake(u)
+	}
 }
 
 // storeDataAvail returns when the store's data operands are available in
@@ -418,6 +515,7 @@ func (e *Engine) memSchedule(c uint64) {
 			u.ResultTime = c + 1
 			u.ResultCluster = u.Cluster
 			u.State = StateComplete
+			e.wake(u)
 			e.Stats.LoadsForwarded++
 			continue
 		}
@@ -432,6 +530,7 @@ func (e *Engine) memSchedule(c uint64) {
 		u.ResultTime = c + uint64(lat)
 		u.ResultCluster = u.Cluster
 		u.State = StateComplete
+		e.wake(u)
 		e.Stats.LoadsAccessed++
 	}
 	for i := len(kept); i < len(e.waitLoads); i++ {
@@ -476,9 +575,7 @@ func (e *Engine) MarkRetired(u *UOp) {
 func (e *Engine) MarkResolved(u *UOp) {
 	if !u.Resolved {
 		u.Resolved = true
-		if u.IsBranch && !u.Dead && !u.Retired {
-			e.unresolved--
-		}
+		e.resolved = true
 	}
 }
 
@@ -487,18 +584,21 @@ func (e *Engine) MarkResolved(u *UOp) {
 func (e *Engine) MarkActivated(u *UOp) {
 	if u.Inactive {
 		u.Inactive = false
-		if !u.Dead && !u.Retired {
-			e.inactive--
-		}
+		e.stale = true
 	}
 }
 
-// HasUnresolvedBranches reports whether any live branch is still
-// unresolved (cheap gate for the per-cycle resolution scan).
-func (e *Engine) HasUnresolvedBranches() bool { return e.unresolved > 0 }
+// Branches returns the control transfers issued unresolved, in fetch
+// order. Entries that died or resolved since the last prune are still
+// present; callers skip them. The slice is the engine's own: Kill,
+// MarkResolved and MarkActivated leave it intact, Issue and
+// PruneRecycle do not.
+func (e *Engine) Branches() []*UOp { return e.branches }
 
-// HasInactive reports whether any live inactive-issued uops remain.
-func (e *Engine) HasInactive() bool { return e.inactive > 0 }
+// Inactive returns the inactive-issued uops in fetch order, under the
+// same rules as Branches (entries that died or activated since the
+// last prune are still present).
+func (e *Engine) Inactive() []*UOp { return e.inactive }
 
 // Window exposes the live window in fetch order (oldest first). It
 // materializes a fresh slice per call; the cycle loop uses Len/At.
@@ -514,12 +614,14 @@ func (e *Engine) Window() []*UOp {
 func (e *Engine) Prune() { e.PruneRecycle(nil, 0) }
 
 // PruneRecycle drops retired and dead uops from the head of the window,
-// handing them to the pool (when non-nil) for deferred reuse. watermark
-// must be the highest issued sequence number. It also purges dead and
-// retired entries from the store and load scheduler lists so no stale
-// pointer survives into a reclaimed uop's next life.
+// handing them to the pool (when non-nil) for deferred reuse; watermark
+// must be the highest issued sequence number. It also drops the dead
+// suffix a squash leaves at the tail, for immediate reuse: a uop is only
+// ever referenced by younger uops, and every uop younger than a dead
+// tail entry is dead too. It first purges stale entries from every list
+// so no list pointer survives into a reclaimed uop's next life.
 func (e *Engine) PruneRecycle(pool *Pool, watermark uint64) {
-	e.compactMemLists()
+	e.purgeLists()
 	mask := len(e.buf) - 1
 	for e.n > 0 {
 		u := e.buf[e.head]
@@ -533,74 +635,73 @@ func (e *Engine) PruneRecycle(pool *Pool, watermark uint64) {
 			pool.Defer(u, watermark)
 		}
 	}
-}
-
-func (e *Engine) compactMemLists() {
-	keptS := e.stores[:0]
-	for _, s := range e.stores {
-		if !s.Dead && !s.Retired {
-			keptS = append(keptS, s)
+	for e.n > 0 {
+		i := (e.head + e.n - 1) & mask
+		u := e.buf[i]
+		if !u.Dead {
+			break
+		}
+		e.buf[i] = nil
+		e.n--
+		if pool != nil {
+			pool.Put(u)
 		}
 	}
-	for i := len(keptS); i < len(e.stores); i++ {
-		e.stores[i] = nil
-	}
-	e.stores = keptS
-
-	keptL := e.waitLoads[:0]
-	for _, u := range e.waitLoads {
-		if !u.Dead && u.State == StateWaitMem {
-			keptL = append(keptL, u)
-		}
-	}
-	for i := len(keptL); i < len(e.waitLoads); i++ {
-		e.waitLoads[i] = nil
-	}
-	e.waitLoads = keptL
 }
 
-// Kill marks a uop dead and releases its reservation-station entry.
+// purgeLists drops stale entries from every list. Kill and
+// MarkActivated flag a full purge, MarkResolved one of the branch list.
+// Otherwise only retirement makes entries stale outside the walks that
+// compact their own lists (memSchedule, move adoption), and stores
+// retire in order: retired ones leave from the head.
+func (e *Engine) purgeLists() {
+	if e.stale || e.resolved {
+		e.branches = slices.DeleteFunc(e.branches, func(u *UOp) bool { return u.Dead || u.Resolved })
+		e.resolved = false
+	}
+	if e.stale {
+		e.stores = slices.DeleteFunc(e.stores, func(u *UOp) bool { return u.Dead || u.Retired })
+		e.waitLoads = slices.DeleteFunc(e.waitLoads, func(u *UOp) bool { return u.Dead })
+		e.moves = slices.DeleteFunc(e.moves, func(u *UOp) bool { return u.Dead })
+		e.inactive = slices.DeleteFunc(e.inactive, func(u *UOp) bool { return u.Dead || !u.Inactive })
+		e.stale = false
+		return
+	}
+	i := 0
+	for i < len(e.stores) && e.stores[i].Retired {
+		i++
+	}
+	if i > 0 {
+		e.stores = slices.Delete(e.stores, 0, i)
+	}
+}
+
+// Kill marks a uop dead, releases its reservation-station entry, and
+// wakes the entries asleep on it.
 func (e *Engine) Kill(u *UOp) {
 	if u.Dead || u.Retired {
 		return
 	}
 	u.Dead = true
 	e.live--
+	e.stale = true
 	if u.InRS {
+		// Search from the youngest end: a squash kills its suffix
+		// youngest first, so the entry is then the last in its queue.
 		u.InRS = false
-		e.rsCount[u.FU]--
-		e.inRS--
-	}
-	if u.IsBranch && !u.Resolved {
-		e.unresolved--
-	}
-	if u.Inactive {
-		e.inactive--
-	}
-	if u.MoveBit && !u.HasResult {
-		e.movesWaiting--
-	}
-}
-
-// SquashAfter kills every uop with Seq > cutoff for which keep returns
-// false (keep lets recovery preserve activated inactive instructions —
-// in practice keep is only consulted for uops in the guard's own fetch
-// group). It returns the number killed.
-func (e *Engine) SquashAfter(cutoff uint64, keep func(*UOp) bool) int {
-	n := 0
-	for i := 0; i < e.n; i++ {
-		u := e.At(i)
-		if u.Seq <= cutoff || u.Dead || u.Retired {
-			continue
+		q := e.rs[u.FU]
+		for i := len(q) - 1; i >= 0; i-- {
+			if q[i].u == u {
+				if q[i].asleep {
+					unwait(q[i].waitOn, u)
+				}
+				e.removeRS(u.FU, i)
+				break
+			}
 		}
-		if keep != nil && keep(u) {
-			continue
-		}
-		e.Kill(u)
-		n++
 	}
-	return n
+	e.wake(u)
 }
 
 // RSOccupancy returns the occupied entry count for a FU (test hook).
-func (e *Engine) RSOccupancy(fu int) int { return e.rsCount[fu] }
+func (e *Engine) RSOccupancy(fu int) int { return len(e.rs[fu]) }

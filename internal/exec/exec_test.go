@@ -320,22 +320,94 @@ func TestRSAccounting(t *testing.T) {
 	}
 }
 
-func TestSquashAfter(t *testing.T) {
+// TestSleepingEntries: an RS entry whose producer is unscheduled sleeps
+// on it. The producer's scheduled result wakes it in time to dispatch at
+// its ready cycle, a sleeping consumer that dies leaves the producer's
+// waiter list, and a producer that dies wakes its sleepers (a dead
+// producer reads as ready).
+func TestSleepingEntries(t *testing.T) {
 	e := newEngine(t)
-	a := alu(0)
-	b := alu(1)
-	c := alu(2)
-	d := alu(3)
-	c.Inactive = true
-	for i, u := range []*UOp{a, b, c, d} {
-		e.Issue(u, uint64(i))
+	p := alu(1)
+	c := alu(0, p) // FU 0 is served before FU 1: c polls first and sleeps
+	e.Issue(p, 0)
+	e.Issue(c, 0)
+	e.Cycle(0)
+	if p.waiters != nil {
+		t.Error("p's dispatch should have woken its sleeper")
 	}
-	killed := e.SquashAfter(a.Seq, func(u *UOp) bool { return u == c })
-	if killed != 2 {
-		t.Errorf("killed %d, want 2", killed)
+	e.Cycle(1)
+	if c.DispatchCycle != 1 {
+		t.Errorf("woken consumer dispatched at %d, want 1 (back-to-back)", c.DispatchCycle)
 	}
-	if a.Dead || c.Dead || !b.Dead || !d.Dead {
-		t.Error("squash kept/killed the wrong uops")
+
+	blocker := alu(15) // never issued: q stays unscheduled
+	q := alu(4, blocker)
+	c1, c2 := alu(5, q), alu(6, q)
+	for _, u := range []*UOp{q, c1, c2} {
+		e.Issue(u, 2)
+	}
+	e.Cycle(2)
+	if blocker.waiters != q || q.waiters == nil {
+		t.Fatal("q should sleep on the blocker, c1 and c2 on q")
+	}
+	e.Kill(c2)
+	for w := q.waiters; w != nil; w = w.nextWaiter {
+		if w == c2 {
+			t.Error("a killed sleeper stayed on its producer's waiter list")
+		}
+	}
+	e.Kill(q)
+	if q.waiters != nil || blocker.waiters != nil {
+		t.Error("killing q should empty both waiter lists")
+	}
+	e.Cycle(3)
+	if c1.DispatchCycle != 3 {
+		t.Errorf("consumer of a killed producer dispatched at %d, want 3", c1.DispatchCycle)
+	}
+}
+
+// TestRecycledRSUopDispatchesOnce pins the reservation-station side of
+// the recycled-uop hazard: a uop killed while RS-resident, in a cycle
+// with no other RS work, must leave its FU's queue at once. Otherwise,
+// once the pool reclaims its storage and reissues it on another FU, the
+// stale entry would dispatch the new uop a second time, from the wrong
+// FU, when the dead uop's producer delivers.
+func TestRecycledRSUopDispatchesOnce(t *testing.T) {
+	e := newEngine(t)
+	var pool Pool
+	prod := alu(1)
+	prod.Inst.Op = isa.DIV // result at cycle 12
+	victim := pool.Get()
+	*victim = *alu(0, prod)
+	e.Issue(prod, 0)
+	e.Issue(victim, 0)
+	e.Cycle(0)     // prod dispatches; victim waits on it
+	e.Kill(victim) // the last RS-resident uop: no RS work remains
+	if got := e.RSOccupancy(0); got != 0 {
+		t.Fatalf("RS occupancy of FU 0 after kill = %d, want 0", got)
+	}
+	e.Cycle(1)
+	e.PruneRecycle(&pool, victim.Seq)
+	pool.Reclaim(prod.Seq)
+
+	u := pool.Get()
+	if u != victim {
+		t.Fatal("pool did not hand back the killed uop's storage")
+	}
+	*u = *alu(5) // another FU, no producers: ready at issue
+	e.Issue(u, 2)
+	if e.RSOccupancy(0) != 0 || e.RSOccupancy(5) != 1 {
+		t.Fatalf("RS occupancy FU0=%d FU5=%d after reissue, want 0 and 1", e.RSOccupancy(0), e.RSOccupancy(5))
+	}
+	for c := uint64(2); c < 20; c++ {
+		e.Cycle(c)
+	}
+	if e.Stats.Dispatched != 2 || u.DispatchCycle != 2 {
+		t.Errorf("%d dispatches (want 2: prod and the reissued uop), reissued uop last dispatched at %d (want 2)",
+			e.Stats.Dispatched, u.DispatchCycle)
+	}
+	if e.RSOccupancy(0) != 0 || e.RSOccupancy(5) != 0 {
+		t.Errorf("RS occupancy FU0=%d FU5=%d after dispatch, want 0 and 0", e.RSOccupancy(0), e.RSOccupancy(5))
 	}
 }
 
@@ -361,6 +433,30 @@ func TestWindowSpaceAndPrune(t *testing.T) {
 	e.Prune()
 	if len(e.Window()) != 0 {
 		t.Error("prune should drop the dead head")
+	}
+}
+
+// TestPruneRecyclesSquashedTail: a squash's dead suffix leaves the
+// window's tail at the next prune and is reusable at once — nothing
+// older can reference it — while retired head uops wait for their
+// watermark.
+func TestPruneRecyclesSquashedTail(t *testing.T) {
+	e := newEngine(t)
+	var pool Pool
+	a, b, c, d := alu(0), alu(1), alu(2), alu(3)
+	for _, u := range []*UOp{a, b, c, d} {
+		e.Issue(u, 0)
+	}
+	a.Retired = true
+	e.Kill(c)
+	e.Kill(d)
+	e.PruneRecycle(&pool, d.Seq)
+	if e.Len() != 1 || e.At(0) != b {
+		t.Fatalf("window holds %d uops after prune, want just b", e.Len())
+	}
+	if pool.FreeLen() != 2 || pool.PendingLen() != 1 {
+		t.Errorf("pool free=%d pending=%d, want the squashed pair free and the retired head pending",
+			pool.FreeLen(), pool.PendingLen())
 	}
 }
 

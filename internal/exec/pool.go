@@ -12,7 +12,8 @@ package exec
 // in-flight table; therefore every possible referent of a uop pruned
 // when the global sequence counter stood at W has Seq <= W. Once the
 // oldest live instruction's Seq exceeds W, the parked uop is
-// unreachable and moves to the free list.
+// unreachable and moves to the free list. The engine's own lists and
+// reservation stations never hold a pruned uop: they drop it first.
 type Pool struct {
 	free    []*UOp
 	pending []*UOp // FIFO; freeAfter watermarks are monotonic
@@ -31,10 +32,10 @@ func (p *Pool) Get() *UOp {
 	return new(UOp)
 }
 
-// PutFresh returns a uop that was never issued into the window (a
-// dropped fetch group): nothing can reference it, so it is immediately
-// reusable.
-func (p *Pool) PutFresh(u *UOp) {
+// Put returns a uop nothing can reference any more — one never issued
+// into the window (a dropped fetch group), or one from a squashed suffix
+// whose younger referents all died with it — for immediate reuse.
+func (p *Pool) Put(u *UOp) {
 	p.free = append(p.free, u)
 }
 

@@ -63,7 +63,8 @@ type UOp struct {
 	// Checkpoint repair state (branches that may trigger recovery).
 	// CkRAT points into the checkpoint pool's recycled snapshot storage
 	// rather than embedding the table: it keeps the UOp small enough
-	// that window scans stay cache-resident and pool reuse stays cheap.
+	// that the engine's walks stay cache-resident and pool reuse stays
+	// cheap.
 	HasCheckpoint bool
 	CkRAT         *rename.Snapshot
 	CkRAS         bpred.RASSnapshot
@@ -84,7 +85,14 @@ type UOp struct {
 	Cluster       int
 	IssueCycle    uint64
 	DispatchCycle uint64
-	HasResult     bool
+
+	// HasResult sits with the liveness flags on one cache line: a
+	// reservation-station poll reads a producer's HasResult and Dead.
+	HasResult bool
+	Dead      bool // squashed or discarded
+	Retired   bool
+	InRS      bool // currently occupies a reservation-station entry
+
 	ResultTime    uint64 // cycle the result is available in ResultCluster
 	ResultCluster int
 	AddrTime      uint64 // memory ops: cycle the address is generated
@@ -94,9 +102,10 @@ type UOp struct {
 	BypassDelayed bool   // last-arriving operand was delayed cross-cluster (Fig 7)
 	HadOperands   bool   // executed on a FU with at least one register operand
 
-	Dead    bool // squashed or discarded
-	Retired bool
-	InRS    bool // currently occupies a reservation-station entry
+	// waiters heads the list, threaded through nextWaiter, of RS-resident
+	// consumers whose entries sleep until this uop's result is scheduled
+	// or it dies. Both lists are empty whenever the uop leaves the window.
+	waiters, nextWaiter *UOp
 
 	// freeAfter is the Pool's deferred-reclamation watermark: the
 	// highest sequence number issued when this uop left the window.

@@ -38,7 +38,7 @@ func TestParseTraceParent(t *testing.T) {
 		{"req-1:", ""},
 		{"no-colon", ""},
 		{"", ""},
-		{"a:b:c", ""},      // second colon lands in the span half: invalid
+		{"a:b:c", ""}, // second colon lands in the span half: invalid
 		{"a:bad value", ""},
 	}
 	for _, c := range cases {

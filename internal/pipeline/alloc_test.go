@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"tcsim/internal/emu"
@@ -9,6 +10,23 @@ import (
 	"tcsim/internal/tracestore"
 	"tcsim/internal/workload"
 )
+
+// stepMallocs advances sim n cycles and returns the exact number of heap
+// allocations made meanwhile. testing.AllocsPerRun reports mallocs/n
+// rounded down to an integer, so it hides up to n-1 allocations per
+// measurement; this reads runtime.MemStats.Mallocs directly. GOMAXPROCS
+// is pinned to 1, as AllocsPerRun does, so no other goroutine allocates
+// in parallel with the measured steps.
+func stepMallocs(sim *Simulator, n int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sim.Step()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestStepSteadyStateAllocs pins the allocation-free cycle loop: once
 // the machine is warm (trace cache populated, uop pool filled, ring
@@ -45,14 +63,12 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			if sim.Done() {
 				t.Fatal("workload halted during warmup; cannot measure steady state")
 			}
-			avg := testing.AllocsPerRun(2000, sim.Step)
+			n := stepMallocs(sim, 2000)
 			if sim.Done() {
 				t.Fatal("workload halted during measurement")
 			}
-			// The loop must be allocation-free apart from rare amortized
-			// growth (e.g. the program's output buffer doubling).
-			if avg > 0.01 {
-				t.Errorf("steady-state Step allocates %.4f allocs/cycle, want ~0", avg)
+			if n != 0 {
+				t.Errorf("steady-state Step made %d heap allocations in 2000 cycles, want 0", n)
 			}
 		})
 	}
@@ -96,12 +112,12 @@ func TestStepSteadyStateAllocsPerPolicy(t *testing.T) {
 			if sim.Done() {
 				t.Fatal("workload halted during warmup; cannot measure steady state")
 			}
-			avg := testing.AllocsPerRun(2000, sim.Step)
+			n := stepMallocs(sim, 2000)
 			if sim.Done() {
 				t.Fatal("workload halted during measurement")
 			}
-			if avg > 0.01 {
-				t.Errorf("policy %s: steady-state Step allocates %.4f allocs/cycle, want ~0", pol, avg)
+			if n != 0 {
+				t.Errorf("policy %s: steady-state Step made %d heap allocations in 2000 cycles, want 0", pol, n)
 			}
 		})
 	}
@@ -167,8 +183,7 @@ func TestStepSteadyStateAllocsWithRecorder(t *testing.T) {
 	if sim.Done() {
 		t.Fatal("workload halted during warmup; cannot measure steady state")
 	}
-	avg := testing.AllocsPerRun(2000, sim.Step)
-	if avg > 0.01 {
-		t.Errorf("recorder-enabled Step allocates %.4f allocs/cycle, want ~0", avg)
+	if n := stepMallocs(sim, 2000); n != 0 {
+		t.Errorf("recorder-enabled Step made %d heap allocations in 2000 cycles, want 0", n)
 	}
 }

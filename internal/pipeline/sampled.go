@@ -244,7 +244,7 @@ func (s *Simulator) finalizeSampled() {
 func (s *Simulator) drainForGap() error {
 	s.fetchHold = true
 	limit := s.cycle + 500_000
-	for !s.done && s.liveUOps() > 0 {
+	for !s.done && s.eng.Live() > 0 {
 		if s.cycle >= limit {
 			s.fetchHold = false
 			return fmt.Errorf("pipeline: sampling drain did not empty the window within 500000 cycles")
@@ -254,17 +254,6 @@ func (s *Simulator) drainForGap() error {
 	s.dropFetchBuf()
 	s.fetchHold = false
 	return nil
-}
-
-func (s *Simulator) liveUOps() int {
-	n := 0
-	for i, wn := 0, s.eng.Len(); i < wn; i++ {
-		u := s.eng.At(i)
-		if !u.Dead && !u.Retired {
-			n++
-		}
-	}
-	return n
 }
 
 // resumeFetchAt points the front end at the correct-path record seq
@@ -349,7 +338,7 @@ func (s *Simulator) FastForward(target uint64) error {
 				if s.pred.Bias.Observe(rec.PC, rec.Taken) && !was {
 					// Crossing the promotion threshold invalidates lines
 					// that embed the branch un-promoted, as at retirement.
-					s.tc.InvalidateContaining(rec.PC)
+					s.invalidateLines(rec.PC)
 				}
 				newGroup = rec.Taken || cond >= trace.MaxCondBranch
 			case op.IsUncondJump():

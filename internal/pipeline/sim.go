@@ -35,8 +35,12 @@ type Simulator struct {
 	tc   *trace.Cache
 	fill *core.FillUnit
 	eng  *exec.Engine
-	rat  *rename.RAT
 	pool *rename.CheckpointPool
+
+	// rat is the predicted path's register alias table; fork is the
+	// scratch copy a fetch group's inactive suffix renames on, so the
+	// inactive blocks leave the predicted path's mappings undisturbed.
+	rat, fork rename.RAT
 
 	inflight inflightTable
 	uops     exec.Pool
@@ -49,7 +53,8 @@ type Simulator struct {
 	fetchStallUntil uint64
 	serializeWait   bool
 	fetchBuf        *fetchGroup
-	fg              fetchGroup // reused latch storage fetchBuf points into
+	fg              fetchGroup     // reused latch storage fetchBuf points into
+	latchLine       *trace.Segment // line that left the trace cache while fetchBuf read it
 	done            bool
 	lastRetire      uint64
 
@@ -64,8 +69,9 @@ type Simulator struct {
 	sampSkipped   uint64
 	sampSeeks     uint64
 
-	slotScratch      []int       // tryIssue FU-slot list
-	activatedScratch []*exec.UOp // recover's activated-suffix list
+	slotScratch      []int            // tryIssue FU-slot list
+	activatedScratch []*exec.UOp      // recover's activated-suffix list
+	droppedScratch   []*trace.Segment // invalidated trace lines to recycle
 
 	// rec is the timeline recorder (nil = tracing off). Every emission
 	// site nil-checks it, so the disabled cost is a pointer compare and
@@ -116,13 +122,13 @@ func New(cfg Config, prog *asm.Program) (*Simulator, error) {
 		tc:          tc,
 		fill:        fill,
 		eng:         exec.NewEngine(cfg.Exec, hier),
-		rat:         rename.NewRAT(),
 		pool:        rename.NewCheckpointPool(cfg.Checkpoints),
 		inflight:    newInflightTable(),
 		fetchPC:     prog.Entry,
 		fetchOnPath: true,
 		rec:         cfg.Recorder,
 	}
+	s.rat.Reset()
 	s.fg.uops = make([]*exec.UOp, 0, trace.MaxInsts)
 	s.fg.segInsts = make([]*trace.SegInst, 0, trace.MaxInsts)
 	s.slotScratch = make([]int, 0, trace.MaxInsts)
@@ -235,9 +241,8 @@ func (s *Simulator) Step() {
 }
 
 // drainFill moves completed segments from the fill pipe into the trace
-// cache, recycling evicted lines' storage. An evicted line is only
-// recycled when the fetch latch is not holding instructions decoded from
-// it (the latch keeps SegInst pointers into the segment until issue).
+// cache, recycling evicted lines' storage (see recycleLine: the latch
+// keeps SegInst pointers into its segment until issue).
 func (s *Simulator) drainFill(c uint64) {
 	for _, seg := range s.fill.Drain(c) {
 		ev := s.tc.Insert(seg)
@@ -252,9 +257,28 @@ func (s *Simulator) drainFill(c uint64) {
 				uint64(trace.ReuseClass(ev.Mix, ev.LoopBack)),
 				uint64(s.tc.LastRetiredHits), uint64(ev.StartPC))
 		}
-		if s.fetchBuf == nil || s.fetchBuf.seg != ev {
-			s.fill.RecycleSegment(ev)
-		}
+		s.recycleLine(ev)
+	}
+}
+
+// recycleLine hands the storage of a line that left the trace cache back
+// to the fill unit; while the fetch latch still holds instructions
+// decoded from it, the latch recycles it on release instead.
+func (s *Simulator) recycleLine(seg *trace.Segment) {
+	if s.fetchBuf != nil && s.fetchBuf.seg == seg {
+		s.latchLine = seg
+		return
+	}
+	s.fill.RecycleSegment(seg)
+}
+
+// invalidateLines drops the trace lines that embed the branch at pc and
+// recycles their storage.
+func (s *Simulator) invalidateLines(pc uint32) {
+	s.droppedScratch = s.tc.InvalidateContaining(pc, s.droppedScratch[:0])
+	for i, seg := range s.droppedScratch {
+		s.recycleLine(seg)
+		s.droppedScratch[i] = nil
 	}
 }
 
@@ -300,9 +324,19 @@ func (s *Simulator) dropFetchBuf() {
 		return
 	}
 	for _, u := range s.fetchBuf.uops {
-		s.uops.PutFresh(u)
+		s.uops.Put(u)
 	}
+	s.releaseLatch()
+}
+
+// releaseLatch empties the fetch/issue latch and recycles the trace line
+// it was the last reader of, if that line has left the cache.
+func (s *Simulator) releaseLatch() {
 	s.fetchBuf = nil
+	if s.latchLine != nil {
+		s.fill.RecycleSegment(s.latchLine)
+		s.latchLine = nil
+	}
 }
 
 // tryIssue runs the issue stage: rename the buffered fetch group and
@@ -333,12 +367,11 @@ func (s *Simulator) tryIssue(c uint64) {
 		return
 	}
 
-	rat := s.rat
+	rat := &s.rat
 	for i, u := range g.uops {
-		if g.firstInactive >= 0 && i == g.firstInactive {
-			// Inactive blocks rename off a fork of the table so the
-			// predicted path's mappings stay undisturbed.
-			rat = s.rat.Clone()
+		if i == g.firstInactive {
+			s.fork = s.rat
+			rat = &s.fork
 		}
 		s.renameUOp(u, g, i, rat)
 		if needsCheckpoint(u) {
@@ -350,7 +383,7 @@ func (s *Simulator) tryIssue(c uint64) {
 	if s.rec != nil {
 		s.rec.Emit(c, obs.KIssue, uint64(len(g.uops)), uint64(s.eng.Len()), 0)
 	}
-	s.fetchBuf = nil
+	s.releaseLatch()
 }
 
 // isAddrOperand reports whether the operand in the given encoding field
@@ -433,16 +466,12 @@ func (s *Simulator) resolveLiveIn(u *exec.UOp, k int, reg isa.Reg, rat *rename.R
 	}
 }
 
-// resolveBranches scans the window oldest-first for branches whose
-// execution finished this cycle, and triggers recovery on the oldest
-// misprediction.
+// resolveBranches walks the unresolved branches oldest-first for those
+// whose execution finished this cycle, and triggers recovery on the
+// oldest misprediction.
 func (s *Simulator) resolveBranches(c uint64) {
-	if !s.eng.HasUnresolvedBranches() {
-		return
-	}
-	for i, n := 0, s.eng.Len(); i < n; i++ {
-		u := s.eng.At(i)
-		if u.Dead || u.Resolved || !u.IsBranch {
+	for _, u := range s.eng.Branches() {
+		if u.Dead || u.Resolved {
 			continue
 		}
 		if !u.HasResult || u.ResultTime > c {
@@ -467,11 +496,7 @@ func (s *Simulator) resolveBranches(c uint64) {
 // discardInactive drops the inactive instructions guarded by a branch
 // whose prediction was confirmed.
 func (s *Simulator) discardInactive(u *exec.UOp) {
-	if !s.eng.HasInactive() {
-		return
-	}
-	for i, n := 0, s.eng.Len(); i < n; i++ {
-		w := s.eng.At(i)
+	for _, w := range s.eng.Inactive() {
 		if w.Inactive && !w.Dead && w.GuardSeq == u.Seq {
 			s.killUOp(w)
 			s.stats.InactiveDropped++
@@ -506,28 +531,20 @@ func (s *Simulator) recover(u *exec.UOp, c uint64) {
 	// Activate the oracle-matching prefix of the guarded suffix.
 	lastKept := u
 	activated := s.activatedScratch[:0]
-	if s.cfg.InactiveIssue && s.eng.HasInactive() {
-		for i, n := 0, s.eng.Len(); i < n; i++ {
-			w := s.eng.At(i)
-			if w.Dead || !w.Inactive || w.GuardSeq != u.Seq {
-				continue
-			}
-			if w.OnPath && w.Seq == lastKept.Seq+1 && w.OracleIdx == lastKept.OracleIdx+1 {
-				s.eng.MarkActivated(w)
-				activated = append(activated, w)
-				lastKept = w
-				s.stats.InactiveKept++
-			}
+	for _, w := range s.eng.Inactive() {
+		if w.Dead || !w.Inactive || w.GuardSeq != u.Seq {
+			continue
+		}
+		if w.OnPath && w.Seq == lastKept.Seq+1 && w.OracleIdx == lastKept.OracleIdx+1 {
+			s.eng.MarkActivated(w)
+			activated = append(activated, w)
+			lastKept = w
+			s.stats.InactiveKept++
 		}
 	}
 
 	// Squash everything younger than the recovery point.
-	for i, n := 0, s.eng.Len(); i < n; i++ {
-		w := s.eng.At(i)
-		if w.Seq > lastKept.Seq && !w.Dead && !w.Retired {
-			s.killUOp(w)
-		}
-	}
+	s.squashAfter(lastKept.Seq)
 
 	// Checkpoint repair.
 	s.rat.RestoreFrom(u.CkRAT)
@@ -568,6 +585,20 @@ func (s *Simulator) recover(u *exec.UOp, c uint64) {
 	s.rescanSerialize()
 }
 
+// squashAfter kills every live uop younger than seq. The window is in
+// Seq order, so they form its suffix, killed youngest first.
+func (s *Simulator) squashAfter(seq uint64) {
+	for i := s.eng.Len() - 1; i >= 0; i-- {
+		w := s.eng.At(i)
+		if w.Seq <= seq {
+			return
+		}
+		if !w.Dead && !w.Retired {
+			s.killUOp(w)
+		}
+	}
+}
+
 // rescanSerialize recomputes the serialize-wait flag after a squash may
 // have killed the blocking instruction.
 func (s *Simulator) rescanSerialize() {
@@ -594,13 +625,8 @@ func (s *Simulator) rescanSerialize() {
 // instruction is squashed and the machine restarts from architectural
 // state.
 func (s *Simulator) retireFlush(u *exec.UOp, c uint64) {
-	for i, n := 0, s.eng.Len(); i < n; i++ {
-		w := s.eng.At(i)
-		if w.Seq > u.Seq && !w.Dead && !w.Retired {
-			s.killUOp(w)
-		}
-	}
-	s.rat = rename.NewRAT() // no in-flight producers remain
+	s.squashAfter(u.Seq)
+	s.rat.Reset() // no in-flight producers remain
 	s.fetchPC = u.ActualNext
 	s.oracleIdx = u.OracleIdx + 1
 	s.fetchOnPath = true
@@ -693,7 +719,7 @@ func (s *Simulator) doRetire(c uint64) {
 					s.stats.PromotedMispred++
 					mispromoted = true
 					s.pred.Bias.Demote(u.PC)
-					s.tc.InvalidateContaining(u.PC)
+					s.invalidateLines(u.PC)
 				}
 			}
 			_, wasPromoted := s.pred.Bias.Promoted(u.PC)
@@ -703,7 +729,7 @@ func (s *Simulator) doRetire(c uint64) {
 				// the trace lines that embed it un-promoted so the fill
 				// unit rebuilds them with the static prediction (and the
 				// extra packing headroom promotion buys).
-				s.tc.InvalidateContaining(u.PC)
+				s.invalidateLines(u.PC)
 			}
 			if u.PredValid {
 				s.pred.Update(u.PredTok, u.ActualTaken)

@@ -8,6 +8,7 @@ import (
 	"tcsim/internal/core"
 	"tcsim/internal/emu"
 	"tcsim/internal/isa"
+	"tcsim/internal/workload"
 )
 
 // buildProgram assembles a test program.
@@ -542,5 +543,76 @@ func TestFillLatencyNegligible(t *testing.T) {
 		if ipc < ipcs[0]*0.9 || ipc > ipcs[0]*1.1 {
 			t.Errorf("fill latency changed IPC too much: %v", ipcs)
 		}
+	}
+}
+
+// TestSquashAfterKillsSeqSuffix: recovery's squash kills exactly the
+// live uops younger than the recovery point — the window's Seq suffix —
+// and releases what they hold (window space, RS entries, checkpoints),
+// leaving every older uop as it was. Activated inactive uops survive a
+// recovery because activation only ever extends the kept prefix.
+func TestSquashAfterKillsSeqSuffix(t *testing.T) {
+	w, ok := workload.ByName("gcc")
+	if !ok {
+		t.Fatal("no workload gcc")
+	}
+	cfg := DefaultConfig()
+	cfg.MaxInsts = 0
+	sim, err := New(cfg, w.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100_000 && sim.eng.Live() < 64; i++ {
+		sim.Step()
+	}
+	if sim.eng.Live() < 64 {
+		t.Fatalf("window never held 64 live uops (%d)", sim.eng.Live())
+	}
+	n := sim.eng.Len()
+	cut := sim.eng.At(n / 2).Seq
+	wasLive := make([]bool, n)
+	for i := range wasLive {
+		u := sim.eng.At(i)
+		wasLive[i] = !u.Dead && !u.Retired
+	}
+
+	sim.squashAfter(cut)
+
+	live, ckpts, killed := 0, 0, 0
+	rs := make([]int, sim.eng.FUs())
+	for i := 0; i < n; i++ {
+		u := sim.eng.At(i)
+		alive := !u.Dead && !u.Retired
+		switch {
+		case u.Seq > cut && alive:
+			t.Errorf("uop %d is younger than the cut %d but survived", u.Seq, cut)
+		case u.Seq > cut && wasLive[i]:
+			killed++
+		case u.Seq <= cut && alive != wasLive[i]:
+			t.Errorf("uop %d is not younger than the cut %d but changed state", u.Seq, cut)
+		}
+		if alive {
+			live++
+			if u.InRS {
+				rs[u.FU]++
+			}
+			if u.HasCheckpoint {
+				ckpts++
+			}
+		}
+	}
+	if killed == 0 {
+		t.Fatal("the suffix held no live uop to squash")
+	}
+	if got := sim.eng.Live(); got != live {
+		t.Errorf("engine counts %d live uops, window holds %d", got, live)
+	}
+	for f, want := range rs {
+		if got := sim.eng.RSOccupancy(f); got != want {
+			t.Errorf("FU %d: RS occupancy %d, live RS-resident uops %d", f, got, want)
+		}
+	}
+	if got := cfg.Checkpoints - sim.pool.Available(); got != ckpts {
+		t.Errorf("%d checkpoints in use, live uops hold %d", got, ckpts)
 	}
 }

@@ -24,8 +24,10 @@ type Entry struct {
 	Tag   Tag  // producing instruction when not ready
 }
 
-// RAT is the register alias table. The zero value maps every register to
-// ready (architectural state).
+// RAT is the register alias table. It is a plain value: assigning one
+// RAT to another forks an independent copy, which is how the pipeline
+// renames inactive-issued blocks down a trace's embedded path without
+// disturbing the predicted path's table.
 type RAT struct {
 	e [isa.NumRegs]Entry
 }
@@ -33,10 +35,16 @@ type RAT struct {
 // NewRAT returns a table with every register ready.
 func NewRAT() *RAT {
 	r := &RAT{}
-	for i := range r.e {
-		r.e[i].Ready = true
-	}
+	r.Reset()
 	return r
+}
+
+// Reset maps every register to ready in place (a flush at retirement:
+// no in-flight producers remain).
+func (r *RAT) Reset() {
+	for i := range r.e {
+		r.e[i] = Entry{Ready: true}
+	}
 }
 
 // Lookup returns the mapping for reg. R0 is always ready.
@@ -86,14 +94,6 @@ func (r *RAT) Restore(s Snapshot) { r.e = s.e }
 
 // RestoreFrom rewinds the table to pooled snapshot storage.
 func (r *RAT) RestoreFrom(s *Snapshot) { r.e = s.e }
-
-// Clone returns an independent copy of the RAT; the fetch engine forks a
-// clone to rename inactive-issued blocks down the trace's embedded path
-// without disturbing the predicted path's table.
-func (r *RAT) Clone() *RAT {
-	c := *r
-	return &c
-}
 
 // Snapshot is an immutable copy of the full table.
 type Snapshot struct {

@@ -92,20 +92,29 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
+func TestForkByCopyIsIndependent(t *testing.T) {
 	r := NewRAT()
 	r.SetDest(isa.T0, 1)
-	c := r.Clone()
-	c.SetDest(isa.T0, 2)
-	c.SetDest(isa.T1, 3)
+	fork := *r
+	fork.SetDest(isa.T0, 2)
+	fork.SetDest(isa.T1, 3)
 	if e := r.Lookup(isa.T0); e.Tag != 1 {
-		t.Error("clone write leaked into original")
+		t.Error("fork write leaked into original")
 	}
 	if !r.Lookup(isa.T1).Ready {
-		t.Error("clone write leaked into original t1")
+		t.Error("fork write leaked into original t1")
 	}
-	if e := c.Lookup(isa.T0); e.Tag != 2 {
-		t.Error("clone did not record write")
+	if e := fork.Lookup(isa.T0); e.Tag != 2 {
+		t.Error("fork did not record write")
+	}
+	fork.Reset()
+	for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
+		if !fork.Lookup(reg).Ready {
+			t.Errorf("Reset left %v mapped to a producer", reg)
+		}
+	}
+	if e := r.Lookup(isa.T0); e.Tag != 1 {
+		t.Error("Reset of the fork touched the original")
 	}
 }
 

@@ -102,13 +102,13 @@ func TestCanonicalKeys(t *testing.T) {
 func TestResolveSpecValidation(t *testing.T) {
 	lim := Limits{DefaultTimeout: time.Minute, MaxInsts: 1000}
 	bad := []client.JobRequest{
-		{},                               // no workload
-		{Workload: "nosuch"},             // unknown workload
-		{Workload: "m88ksim", Insts: 2000},                                  // over the per-job cap
-		{Workload: "m88ksim", Preset: "turbo"},                              // unknown preset
+		{},                                     // no workload
+		{Workload: "nosuch"},                   // unknown workload
+		{Workload: "m88ksim", Insts: 2000},     // over the per-job cap
+		{Workload: "m88ksim", Preset: "turbo"}, // unknown preset
 		{Workload: "m88ksim", Preset: client.PresetAll, Passes: []string{"moves"}}, // both
-		{Workload: "m88ksim", Passes: []string{"bogus"}},                    // unknown pass
-		{Workload: "m88ksim", Passes: []string{"place", "moves"}},           // illegal order
+		{Workload: "m88ksim", Passes: []string{"bogus"}},                           // unknown pass
+		{Workload: "m88ksim", Passes: []string{"place", "moves"}},                  // illegal order
 		{Workload: "m88ksim", TimeoutMS: -1},
 		{Workload: "m88ksim", FillLatency: -2},
 	}

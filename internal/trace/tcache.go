@@ -201,11 +201,12 @@ func samePath(a, b *Segment) bool {
 
 // InvalidateContaining drops every segment that contains the instruction
 // at pc (used when a promoted branch is demoted: its embedded static
-// prediction is stale). Returns the number of lines dropped. The search
-// touches every line; hardware would keep an inclusion filter, but this
-// event is rare enough that the paper's machinery doesn't model it.
-func (c *Cache) InvalidateContaining(pc uint32) int {
-	dropped := 0
+// prediction is stale). It appends the dropped segments to dropped and
+// returns it, so the caller can recycle their storage once no reader
+// remains. The search touches every line; hardware would keep an
+// inclusion filter, but this event is rare enough that the paper's
+// machinery doesn't model it.
+func (c *Cache) InvalidateContaining(pc uint32, dropped []*Segment) []*Segment {
 	for s := range c.lines {
 		for w := range c.lines[s] {
 			l := &c.lines[s][w]
@@ -215,8 +216,8 @@ func (c *Cache) InvalidateContaining(pc uint32) int {
 			for i := range l.seg.Insts {
 				if l.seg.Insts[i].PC == pc {
 					c.retire(l)
-					l.valid = false
-					dropped++
+					dropped = append(dropped, l.seg)
+					l.valid, l.seg = false, nil
 					break
 				}
 			}

@@ -257,11 +257,12 @@ func TestCacheLRUWithinSet(t *testing.T) {
 
 func TestInvalidateContaining(t *testing.T) {
 	c, _ := NewCache(CacheConfig{Entries: 64, Ways: 4})
-	c.Insert(mkSeg(0x400000, 4))
+	s1 := mkSeg(0x400000, 4)
+	c.Insert(s1)
 	c.Insert(mkSeg(0x500000, 4))
-	n := c.InvalidateContaining(0x400008) // third instruction of first segment
-	if n != 1 {
-		t.Errorf("dropped %d lines, want 1", n)
+	dropped := c.InvalidateContaining(0x400008, nil) // third instruction of the first segment
+	if len(dropped) != 1 || dropped[0] != s1 {
+		t.Errorf("dropped %v, want exactly the first segment", dropped)
 	}
 	if c.Lookup(0x400000, nil) != nil {
 		t.Error("containing line should be gone")

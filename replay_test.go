@@ -9,14 +9,15 @@ import (
 
 // TestReplayStaysAllocationFree is the CI benchmark guard for the trace
 // store's replay path, the sibling of TestCycleLoopStaysAllocationFree:
-// the steady-state cycle loop of a replayed run must not allocate.
+// 2000 steady-state cycles of a replayed run make no heap allocation.
 func TestReplayStaysAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
 	}
-	r := testing.Benchmark(BenchmarkReplayCycleLoop)
-	if allocs := r.AllocsPerOp(); allocs != 0 {
-		t.Errorf("BenchmarkReplayCycleLoop allocates %d allocs/op, want 0", allocs)
+	tr, prog := captureCompress(t)
+	sim := warmReplaySim(t, tr, prog, "")
+	if n := stepMallocs(sim, 2000); n != 0 {
+		t.Errorf("replayed cycle loop made %d heap allocations in 2000 cycles, want 0", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tcsim"
+	"tcsim/internal/replace"
 )
 
 // TestTimelineDoesNotPerturbSimulation: enabling the event recorder is
@@ -59,15 +60,19 @@ func TestTimelineDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // TestCycleLoopStaysAllocationFree is the benchmark guard: with the
-// recorder disabled, the steady-state cycle loop must not allocate.
-// (The recorder is a nil pointer in this configuration; a regression
-// here means an emission site stopped being zero-cost.)
+// recorder disabled, 2000 steady-state cycles make no heap allocation
+// under any replacement policy. (The recorder is a nil pointer in this
+// configuration; a regression here means an emission site stopped being
+// zero-cost.)
 func TestCycleLoopStaysAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
 	}
-	r := testing.Benchmark(BenchmarkCycleLoop)
-	if allocs := r.AllocsPerOp(); allocs != 0 {
-		t.Errorf("BenchmarkCycleLoop allocates %d allocs/op, want 0", allocs)
+	tr, prog := captureCompress(t)
+	for _, pol := range replace.Names() {
+		sim := warmReplaySim(t, tr, prog, pol)
+		if n := stepMallocs(sim, 2000); n != 0 {
+			t.Errorf("policy %s: steady-state cycle loop made %d heap allocations in 2000 cycles, want 0", pol, n)
+		}
 	}
 }
