@@ -294,6 +294,7 @@ func (b *Builder) Assemble() (*Program, error) {
 		p.Symbols[name] = d.addr
 	}
 	p.Text = make([]isa.Word, len(b.text))
+	p.Insts = make([]isa.Inst, len(b.text))
 	for idx, pi := range b.text {
 		inst := pi.inst
 		if pi.kind != refNone {
@@ -322,6 +323,7 @@ func (b *Builder) Assemble() (*Program, error) {
 			return nil, fmt.Errorf("asm: at %#x: %w", TextBase+uint32(idx)*isa.InstBytes, err)
 		}
 		p.Text[idx] = w
+		p.Insts[idx] = isa.Decode(w)
 	}
 	p.Entry = p.TextBase
 	if m, ok := p.Symbols["main"]; ok {

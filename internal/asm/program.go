@@ -26,6 +26,7 @@ type Program struct {
 	Entry    uint32            // initial PC
 	TextBase uint32            // load address of Text
 	Text     []isa.Word        // encoded instructions
+	Insts    []isa.Inst        // Text decoded once: Insts[i] == isa.Decode(Text[i])
 	DataBase uint32            // load address of Data
 	Data     []byte            // initialized data section
 	Symbols  map[string]uint32 // label -> address (text and data)
@@ -47,7 +48,7 @@ func (p *Program) InstAt(addr uint32) (isa.Inst, bool) {
 	if addr < p.TextBase || addr >= p.TextEnd() || addr%isa.InstBytes != 0 {
 		return isa.Inst{}, false
 	}
-	return isa.Decode(p.Text[(addr-p.TextBase)/isa.InstBytes]), true
+	return p.Insts[(addr-p.TextBase)/isa.InstBytes], true
 }
 
 // Listing renders a disassembly listing of the text section with symbol
@@ -66,7 +67,7 @@ func (p *Program) Listing() string {
 		for _, name := range byAddr[addr] {
 			out = append(out, fmt.Sprintf("%s:\n", name)...)
 		}
-		out = append(out, fmt.Sprintf("  %08x:  %08x  %s\n", addr, w, isa.Disasm(isa.Decode(w), addr))...)
+		out = append(out, fmt.Sprintf("  %08x:  %08x  %s\n", addr, w, isa.Disasm(p.Insts[i], addr))...)
 	}
 	return string(out)
 }

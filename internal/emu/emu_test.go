@@ -1,11 +1,14 @@
 package emu
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"tcsim/internal/asm"
 	"tcsim/internal/isa"
+	"tcsim/internal/workload"
 )
 
 func TestMemoryReadWrite(t *testing.T) {
@@ -419,5 +422,141 @@ func TestOracleReleaseAll(t *testing.T) {
 	}
 	if _, ok := o.At(10); ok {
 		t.Error("past-end read should fail")
+	}
+}
+
+// BenchmarkMachineRun measures the functional emulator alone: one
+// compress machine stepped 1M instructions per iteration, restarted
+// when it halts. This is the engine under capture, checkpoint logs and
+// warm-mode fast-forward.
+func BenchmarkMachineRun(b *testing.B) {
+	w, _ := workload.ByName("compress")
+	prog := w.Build()
+	const chunk = 1_000_000
+	m := New(prog)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Run(chunk); errors.Is(err, ErrBadInstruction) {
+			b.Fatal(err)
+		}
+		if m.Halted {
+			m = New(prog)
+		}
+	}
+	b.ReportMetric(float64(b.N)*chunk/b.Elapsed().Seconds(), "inst/s")
+}
+
+// patchedWord is the encoding a self-modifying program stores over its
+// own "addi a0, zero, 1": the same instruction with immediate 7.
+var patchedWord = isa.MustEncode(isa.Inst{Op: isa.ADDI, Rt: isa.A0, Imm: 7})
+
+// stepChecked runs m to HALT, checking before every step that the
+// instruction Step executes is isa.Decode of the word in memory at PC.
+func stepChecked(t *testing.T, m *Machine, maxSteps int) {
+	t.Helper()
+	for i := 0; !m.Halted; i++ {
+		if i == maxSteps {
+			t.Fatalf("no HALT within %d steps", maxSteps)
+		}
+		want := isa.Decode(m.Mem.Read32(m.PC))
+		rec, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Inst != want {
+			t.Fatalf("step %d at pc %#x executed %v, memory holds %v", i, rec.PC, rec.Inst, want)
+		}
+	}
+}
+
+// TestSelfModifyingText: a program executes "patch", overwrites it with
+// a store, and executes it again. The second execution must run the
+// stored instruction, for every store width and addressing form.
+func TestSelfModifyingText(t *testing.T) {
+	stores := []struct {
+		name  string
+		value int32 // loaded into T1
+		store func(b *asm.Builder)
+	}{
+		{"sw", int32(patchedWord), func(b *asm.Builder) { b.Sw(isa.T1, isa.T0, 0) }},
+		{"swx", int32(patchedWord), func(b *asm.Builder) { b.Swx(isa.T1, isa.T0, isa.R0) }},
+		{"sh", 7, func(b *asm.Builder) { b.Sh(isa.T1, isa.T0, 0) }}, // low halfword is imm16
+		{"sb", 7, func(b *asm.Builder) { b.Sb(isa.T1, isa.T0, 0) }}, // low byte of imm16
+	}
+	for _, tc := range stores {
+		t.Run(tc.name, func(t *testing.T) {
+			b := asm.NewBuilder()
+			b.Label("main")
+			b.Li(isa.S0, 2)
+			b.La(isa.T0, "patch")
+			b.Li(isa.T1, tc.value)
+			b.Label("patch")
+			b.Addi(isa.A0, isa.R0, 1)
+			b.Out(isa.A0)
+			tc.store(b)
+			b.Addi(isa.S0, isa.S0, -1)
+			b.Bgtz(isa.S0, "patch")
+			b.Halt()
+			p := b.MustAssemble()
+			patch, _ := p.Symbol("patch")
+
+			m := New(p)
+			stepChecked(t, m, 100)
+			if string(m.Output) != "\x01\x07" {
+				t.Errorf("OUT = %q, want \"\\x01\\x07\"", m.Output)
+			}
+			if got, _ := p.InstAt(patch); got.Imm != 1 {
+				t.Errorf("store reached the shared program image: %v", got)
+			}
+		})
+	}
+}
+
+// TestWriteBytesOverText: a host-side WriteBytes into the text image
+// (the path a loader or debugger takes) re-decodes what it overwrote.
+func TestWriteBytesOverText(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("patch")
+	b.Addi(isa.A0, isa.R0, 1)
+	b.Out(isa.A0)
+	b.Halt()
+	p := b.MustAssemble()
+	m := New(p)
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], patchedWord)
+	m.Mem.WriteBytes(p.Entry, w[:])
+	stepChecked(t, m, 10)
+	if string(m.Output) != "\x07" {
+		t.Errorf("OUT = %q, want \"\\x07\"", m.Output)
+	}
+}
+
+// TestFetchOutsideText: control reaching code outside the text image
+// (here, instructions planted in the data section) or a misaligned PC
+// decodes the word in memory, so the table is an accelerator, not a
+// second execution path.
+func TestFetchOutsideText(t *testing.T) {
+	b := asm.NewBuilder()
+	b.DataLabel("code")
+	b.Word(int32(patchedWord), int32(isa.MustEncode(isa.Inst{Op: isa.OUT, Rs: isa.A0})),
+		int32(isa.MustEncode(isa.Inst{Op: isa.HALT})))
+	b.Label("main")
+	b.La(isa.T0, "code")
+	b.Jr(isa.T0)
+	p := b.MustAssemble()
+	m := New(p)
+	stepChecked(t, m, 10)
+	if string(m.Output) != "\x07" {
+		t.Errorf("OUT = %q, want \"\\x07\"", m.Output)
+	}
+
+	// A misaligned jump into the text image executes the straddling word.
+	m = New(p)
+	m.PC = p.Entry + 2
+	want := isa.Decode(m.Mem.Read32(m.PC))
+	rec, _ := m.Step()
+	if rec.Inst != want {
+		t.Errorf("misaligned fetch executed %v, memory holds %v", rec.Inst, want)
 	}
 }

@@ -38,12 +38,15 @@ var ErrBadInstruction = errors.New("emu: illegal instruction")
 
 // New creates a machine with the program loaded and registers initialized
 // per the TCR startup convention: SP at the stack top, GP at the data
-// base, all other registers zero, PC at the program entry.
+// base, all other registers zero, PC at the program entry. The memory's
+// fetch table starts as a copy of the program's decoded text, so a store
+// into the machine's text never reaches the shared program.
 func New(p *asm.Program) *Machine {
 	m := &Machine{Mem: NewMemory(), PC: p.Entry}
 	for i, w := range p.Text {
 		m.Mem.Write32(p.TextBase+uint32(i)*isa.InstBytes, w)
 	}
+	m.Mem.loadText(p.TextBase, append([]isa.Inst(nil), p.Insts...))
 	m.Mem.WriteBytes(p.DataBase, p.Data)
 	m.Reg[isa.SP] = asm.StackTop
 	m.Reg[isa.GP] = p.DataBase
@@ -57,7 +60,17 @@ func (m *Machine) Step() (Record, error) {
 		return Record{}, errors.New("emu: machine is halted")
 	}
 	pc := m.PC
-	inst := isa.Decode(m.Mem.Read32(pc))
+	// Fetch from the memory's decoded text table. Only a PC outside the
+	// text image, or misaligned within it, decodes the word in memory.
+	// Kept inline: returned from a call that does not inline, the Inst
+	// comes back in pieces and is reloaded whole, a store-forwarding
+	// stall that costs about half of what the table saves.
+	var inst isa.Inst
+	if off := pc - m.Mem.textBase; off/isa.InstBytes < uint32(len(m.Mem.text)) && off%isa.InstBytes == 0 {
+		inst = m.Mem.text[off/isa.InstBytes]
+	} else {
+		inst = isa.Decode(m.Mem.Read32(pc))
+	}
 	rec := Record{Seq: m.Steps, PC: pc, Inst: inst, NextPC: pc + isa.InstBytes}
 
 	rs := m.Reg[inst.Rs]

@@ -9,6 +9,8 @@ package emu
 import (
 	"encoding/binary"
 	"sort"
+
+	"tcsim/internal/isa"
 )
 
 const (
@@ -24,11 +26,22 @@ const (
 // A one-entry last-hit cache fronts the page map: accesses are strongly
 // page-local (sequential code, stack, streaming data), so the common case
 // skips the map lookup entirely.
+//
+// A memory loaded by New also holds the program's text decoded, and
+// Machine.Step fetches aligned text addresses from that table instead of
+// decoding the word on every execution. The table stays equal to
+// isa.Decode of the bytes in memory because every write overlapping the
+// text range (a store, WriteBytes, a checkpoint's WritePage) re-decodes
+// the words it touched.
 type Memory struct {
 	pages    map[uint32]*[pageSize]byte
 	lastPN   uint32
 	lastPage *[pageSize]byte
 	dirty    map[uint32]struct{} // nil unless TrackDirty enabled
+
+	text     []isa.Inst // text[i] == isa.Decode(Read32(textBase+4i))
+	textBase uint32
+	textEnd  uint32 // textBase + 4*len(text)
 }
 
 // NewMemory returns an empty address space.
@@ -55,6 +68,30 @@ func (m *Memory) page(addr uint32, alloc bool) *[pageSize]byte {
 	return p
 }
 
+// loadText installs insts, the decoding of the words already written at
+// base, as the fetch table.
+func (m *Memory) loadText(base uint32, insts []isa.Inst) {
+	m.text = insts
+	m.textBase = base
+	m.textEnd = base + uint32(len(insts))*isa.InstBytes
+}
+
+// wrote keeps the text table equal to memory after n bytes were written
+// at addr.
+func (m *Memory) wrote(addr, n uint32) {
+	if addr < m.textEnd && addr+n > m.textBase {
+		m.redecode(addr, n)
+	}
+}
+
+// redecode re-decodes every text word overlapping [addr, addr+n).
+func (m *Memory) redecode(addr, n uint32) {
+	lo, hi := max(addr, m.textBase), min(addr+n, m.textEnd)
+	for i := (lo - m.textBase) / isa.InstBytes; m.textBase+i*isa.InstBytes < hi; i++ {
+		m.text[i] = isa.Decode(m.Read32(m.textBase + i*isa.InstBytes))
+	}
+}
+
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) byte {
 	p := m.page(addr, false)
@@ -67,6 +104,7 @@ func (m *Memory) Read8(addr uint32) byte {
 // Write8 writes one byte.
 func (m *Memory) Write8(addr uint32, v byte) {
 	m.page(addr, true)[addr&pageMask] = v
+	m.wrote(addr, 1)
 }
 
 // Read16 reads a little-endian halfword (no alignment requirement).
@@ -84,6 +122,7 @@ func (m *Memory) Read16(addr uint32) uint16 {
 func (m *Memory) Write16(addr uint32, v uint16) {
 	if addr&pageMask <= pageSize-2 {
 		binary.LittleEndian.PutUint16(m.page(addr, true)[addr&pageMask:], v)
+		m.wrote(addr, 2)
 		return
 	}
 	m.Write8(addr, byte(v))
@@ -105,6 +144,7 @@ func (m *Memory) Read32(addr uint32) uint32 {
 func (m *Memory) Write32(addr uint32, v uint32) {
 	if addr&pageMask <= pageSize-4 {
 		binary.LittleEndian.PutUint32(m.page(addr, true)[addr&pageMask:], v)
+		m.wrote(addr, 4)
 		return
 	}
 	m.Write16(addr, uint16(v))
@@ -177,4 +217,5 @@ func (m *Memory) WritePage(pn uint32, src []byte) {
 	if m.dirty != nil {
 		m.dirty[pn] = struct{}{}
 	}
+	m.wrote(pn<<pageShift, pageSize)
 }

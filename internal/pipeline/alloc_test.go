@@ -12,18 +12,26 @@ import (
 )
 
 // stepMallocs advances sim n cycles and returns the exact number of heap
-// allocations made meanwhile. testing.AllocsPerRun reports mallocs/n
-// rounded down to an integer, so it hides up to n-1 allocations per
-// measurement; this reads runtime.MemStats.Mallocs directly. GOMAXPROCS
-// is pinned to 1, as AllocsPerRun does, so no other goroutine allocates
-// in parallel with the measured steps.
+// allocations made meanwhile.
 func stepMallocs(sim *Simulator, n int) uint64 {
+	return mallocs(func() {
+		for i := 0; i < n; i++ {
+			sim.Step()
+		}
+	})
+}
+
+// mallocs runs f and returns the exact number of heap allocations it
+// made. testing.AllocsPerRun reports mallocs/n rounded down to an
+// integer, so it hides up to n-1 allocations per measurement; this
+// reads runtime.MemStats.Mallocs directly. GOMAXPROCS is pinned to 1,
+// as AllocsPerRun does, so no other goroutine allocates in parallel
+// with f.
+func mallocs(f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		sim.Step()
-	}
+	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }

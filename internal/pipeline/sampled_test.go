@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcsim/internal/emu"
 	"tcsim/internal/tracestore"
 	"tcsim/internal/workload"
 )
@@ -239,11 +240,23 @@ func TestDefaultSamplingFor(t *testing.T) {
 	}
 }
 
-// TestFastForwardStaysAllocationFree pins the fast-forward hot path's
-// zero-allocation invariant, the analogue of TestStepSteadyStateAllocs
-// for sampled mode. The first sweep over a region charges one-time
-// predictor-table growth (new branch PCs); re-running the same region
-// on a fresh simulator after a warm sweep must allocate nothing.
+// TestFastForwardStaysAllocationFree pins the fast-forward hot path at
+// exactly zero heap allocations, the analogue of TestStepSteadyStateAllocs
+// for sampled mode, over both sources a sampled run fast-forwards:
+//
+//   - replay: a captured trace (every sampled run at or below
+//     tracestore.FullCaptureLimit);
+//   - live: an emu.Oracle over a live emu.Machine, which pipeline.New
+//     builds when no oracle is supplied (warm mode above the limit).
+//     This is the functional emulator's own hot path: fetch from the
+//     decoded text table, execute, push into the pre-sized ring.
+//
+// The first sweep over a region charges one-time growth: predictor
+// tables for new branch PCs and, on the live source, emu.Memory's first
+// touch of each data page. The warm half covers the loop bodies and
+// data pages the measured half reuses, so every remaining allocation
+// would be a per-instruction cost. Mallocs are counted exactly (see
+// mallocs), not through allocs/op, which rounds down.
 func TestFastForwardStaysAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -256,41 +269,36 @@ func TestFastForwardStaysAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const warmEnd, end, chunk = budget / 2, uint64(budget), uint64(1_000)
-	newWarmSim := func() *Simulator {
-		cfg := DefaultConfig()
-		cfg.Oracle = tr.NewReplay()
-		cfg.Future = tr
-		sim, err := New(cfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The warm half covers the loop bodies the measured half repeats,
-		// so every branch-PC table entry exists before measurement.
-		if err := sim.FastForward(warmEnd); err != nil {
-			t.Fatal(err)
-		}
-		return sim
+	sources := []struct {
+		name   string
+		oracle emu.Source // nil: pipeline.New's live emulator
+	}{
+		{"replay", tr.NewReplay()},
+		{"live", nil},
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		sim := newWarmSim()
-		pos := uint64(warmEnd)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if pos+chunk > end {
-				b.StopTimer()
-				sim = newWarmSim()
-				pos = warmEnd
-				b.StartTimer()
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Oracle = src.oracle
+			sim, err := New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
 			}
-			pos += chunk
-			if err := sim.FastForward(pos); err != nil {
-				b.Fatal(err)
+			if err := sim.FastForward(warmEnd); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Errorf("FastForward allocates %d allocs/op (%d B/op) in steady state, want 0",
-			allocs, res.AllocedBytesPerOp())
+			var ffErr error
+			n := mallocs(func() {
+				for pos := warmEnd + chunk; pos <= end && ffErr == nil; pos += chunk {
+					ffErr = sim.FastForward(pos)
+				}
+			})
+			if ffErr != nil {
+				t.Fatal(ffErr)
+			}
+			if n != 0 {
+				t.Errorf("FastForward over %d warm instructions made %d heap allocations, want 0", end-warmEnd, n)
+			}
+		})
 	}
 }

@@ -135,10 +135,7 @@ func New(cfg Config, prog *asm.Program) (*Simulator, error) {
 	s.activatedScratch = make([]*exec.UOp, 0, trace.MaxInsts)
 	s.textBase = prog.TextBase
 	s.textEnd = prog.TextEnd()
-	s.text = make([]isa.Inst, len(prog.Text))
-	for i, w := range prog.Text {
-		s.text[i] = isa.Decode(w)
-	}
+	s.text = prog.Insts
 	if err := s.bindOraclePolicies(); err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"tcsim"
 	"tcsim/client"
 	"tcsim/internal/experiments"
+	"tcsim/internal/obs"
 	"tcsim/internal/pipeline"
 )
 
@@ -137,6 +138,14 @@ func runSweep(ctx context.Context, r *experiments.Runner, cells []sweepCell) (*c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each cell runs under its own span: the layers below annotate
+			// the active span (the trace store records whether the cell
+			// captured or replayed), and the request's span must not be
+			// written from many goroutines at once.
+			ctx, sp := obs.StartSpan(ctx, "sweep-cell")
+			sp.SetAttr("workload", cell.spec.Workload)
+			sp.SetAttr("key", shortKey(cell.spec.Key()))
+			defer sp.Finish()
 			// Label the fan-out goroutine so a CPU profile attributes each
 			// cell's time to its workload and config instead of pooling
 			// every sweep into one anonymous stack.
@@ -147,6 +156,7 @@ func runSweep(ctx context.Context, r *experiments.Runner, cells []sweepCell) (*c
 					st, err = r.RunByName(ctx, cell.spec.Workload, sweepVariant(cell.spec))
 				})
 			if err != nil {
+				sp.SetError(err)
 				errs[i] = err
 				cancel()
 				return

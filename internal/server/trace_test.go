@@ -244,3 +244,52 @@ func TestDebugTraceMergedOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCellSpans: every sweep cell runs under its own span, a child
+// of the request's serve span, so the trace store's capture/replay
+// phase lands on the cell that captured or replayed instead of on one
+// span written from every cell goroutine.
+func TestSweepCellSpans(t *testing.T) {
+	srv, cl := newTestServer(t, Config{})
+	rid := "trace-sweep-1"
+	req := &client.SweepRequest{
+		Workloads: []string{"m88ksim", "compress"},
+		Configs:   []client.JobRequest{{}, {Preset: client.PresetAll}},
+		Insts:     testInsts,
+	}
+	if _, err := cl.Sweep(client.WithRequestID(context.Background(), rid), req); err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	var serveID string
+	var cells []obs.Span
+	deadline := time.Now().Add(2 * time.Second)
+	for serveID == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("no serve span for %s after 2s", rid)
+		}
+		time.Sleep(5 * time.Millisecond)
+		cells = cells[:0]
+		for _, s := range srv.Flight().Spans().ByTrace(rid) {
+			switch s.Name {
+			case "POST /v1/sweeps":
+				serveID = s.SpanID
+			case "sweep-cell":
+				cells = append(cells, s)
+			}
+		}
+	}
+	if len(cells) != 4 {
+		t.Fatalf("%d sweep-cell spans, want one per cell (4): %v", len(cells), cells)
+	}
+	for _, c := range cells {
+		if c.ParentID != serveID {
+			t.Errorf("sweep-cell %v parented under %q, want the serve span %q", c.Attrs, c.ParentID, serveID)
+		}
+		if c.Attrs["workload"] == "" || c.Attrs["key"] == "" {
+			t.Errorf("sweep-cell missing workload/key attrs: %v", c.Attrs)
+		}
+		if p := c.Attrs["phase"]; p != "capture" && p != "replay" {
+			t.Errorf("sweep-cell %v phase = %q, want capture or replay", c.Attrs, p)
+		}
+	}
+}
