@@ -12,6 +12,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"tcsim/internal/obs"
 )
 
 // reqIDHeader correlates each exchange with the daemon's log lines.
@@ -180,14 +182,17 @@ func (c *Client) Policies(ctx context.Context) ([]Policy, error) {
 	return ps, nil
 }
 
-// Metrics fetches the daemon's counter snapshot (GET /metrics.json —
-// GET /metrics serves the same counters in the Prometheus text format).
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
-	var m Metrics
-	if err := c.do(ctx, http.MethodGet, "/metrics.json", nil, &m); err != nil {
+// Metrics scrapes GET /metrics — a daemon's or a gateway's Prometheus
+// text exposition — and returns every sample keyed by "name{labels}"
+// (labels in exposition order), e.g.
+// `tcserved_cache_requests_total{result="hit"}`. The body must parse as
+// a valid exposition.
+func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
+	var raw []byte
+	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &raw); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return obs.ParseExposition(raw)
 }
 
 // Health checks /healthz (liveness); nil means the process is up. A
@@ -242,7 +247,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // doOnce issues one JSON request and decodes either the 2xx body into
-// out or the error body into an *APIError.
+// out (a *[]byte takes it raw) or the error body into an *APIError.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -291,6 +296,10 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
+	}
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(resp.Body)
+		return err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)

@@ -14,13 +14,13 @@
 //
 //	POST /v1/jobs            submit a job (sync; ?async=1 to poll instead)
 //	GET  /v1/jobs/{id}       poll an async job
-//	POST /v1/sweeps          batch workloads x configs, deduplicated
+//	POST /v1/sweeps          batch workloads x configs; each cell runs as a job
 //	GET  /v1/passes          registered fill-unit optimization passes
+//	GET  /v1/policies        registered cache replacement policies
 //	GET  /v1/traces/{sha}    content-addressed trace CDN export (also HEAD)
 //	GET  /healthz            liveness
 //	GET  /healthz/ready      readiness (503 once draining starts)
-//	GET  /metrics            Prometheus text-format exposition
-//	GET  /metrics.json       the same counters as a JSON snapshot
+//	GET  /metrics            Prometheus text-format exposition (the only metrics view)
 //	GET  /debug/spans        recent request spans (?trace=<request-id> filters)
 //	GET  /debug/flight       flight recorder: recent spans + job-lifecycle events
 //	GET  /debug/trace/{id}   merged Chrome trace for a job: spans over cycles

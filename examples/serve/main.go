@@ -64,7 +64,8 @@ func main() {
 	fmt.Printf("async  compress/moves+place IPC %.4f  (job %s, state %s)\n",
 		done.Result.IPC, done.ID, done.State)
 
-	// A sweep: workloads x configs, deduplicated by config hash.
+	// A sweep: workloads x configs, each cell run as a job, so cells the
+	// jobs above already ran come from the result cache.
 	sweep, err := cl.Sweep(ctx, &client.SweepRequest{
 		Workloads: []string{"m88ksim", "compress", "li"},
 		Configs: []client.JobRequest{
@@ -76,18 +77,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sweep  %d cells, %d simulated (rest deduplicated), %.0fms\n",
+	fmt.Printf("sweep  %d cells, %d simulated (rest served from the result cache), %.0fms\n",
 		sweep.Cells, sweep.Simulations, sweep.WallMS)
 	for _, row := range sweep.Rows {
 		fmt.Printf("  %-10s %s  IPC %.4f\n", row.Workload, row.Key, row.IPC)
 	}
 
+	// GET /metrics, parsed: every sample keyed by "name{labels}".
 	met, err := cl.Metrics(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("metrics: %d accepted, %d cache hits, %d misses, %.0f sim-inst/s busy throughput\n",
-		met.JobsAccepted, met.CacheHits, met.CacheMisses, met.SimInstsPerSec)
+	fmt.Printf("metrics: %.0f accepted, %.0f cache hits, %.0f misses, %.0f sim-inst/s busy throughput\n",
+		met[`tcserved_jobs_total{event="accepted"}`],
+		met[`tcserved_cache_requests_total{result="hit"}`],
+		met[`tcserved_cache_requests_total{result="miss"}`],
+		met["tcserved_sim_insts_total"]/met["tcserved_sim_busy_seconds_total"])
 
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

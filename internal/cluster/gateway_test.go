@@ -3,18 +3,20 @@ package cluster
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"tcsim"
 	"tcsim/client"
-	"tcsim/internal/obs"
 	"tcsim/internal/server"
 	"tcsim/internal/tracestore"
 )
@@ -105,12 +107,13 @@ func TestGatewayJobAffinity(t *testing.T) {
 	}
 
 	// Same config again: must route to the same node and hit its cache.
-	before := mustMetrics(t, nodes[owner]).CacheHits
+	const hits = `tcserved_cache_requests_total{result="hit"}`
+	before := mustMetrics(t, nodes[owner])[hits]
 	if _, err := cl.SubmitJob(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if after := mustMetrics(t, nodes[owner]).CacheHits; after != before+1 {
-		t.Fatalf("owner cache hits %d -> %d, want +1 (affinity broken?)", before, after)
+	if after := mustMetrics(t, nodes[owner])[hits]; after != before+1 {
+		t.Fatalf("owner cache hits %v -> %v, want +1 (affinity broken?)", before, after)
 	}
 
 	// Async: the prefixed ID round-trips through GET /v1/jobs/{id}.
@@ -368,25 +371,16 @@ func TestGatewayPromotion(t *testing.T) {
 // as valid Prometheus text and carries both gateway counters and
 // node-labeled families.
 func TestGatewayMetricsExposition(t *testing.T) {
-	_, gts, _ := testCluster(t, 2)
+	_, gts, nodes := testCluster(t, 2)
 	ctx := context.Background()
 	cl := client.New(gts.URL)
 	if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "compress", Insts: testInsts}); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(gts.URL + "/metrics")
+	samples, err := cl.Metrics(ctx)
 	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d", resp.StatusCode)
-	}
-	samples, err := obs.ParseExposition(body)
-	if err != nil {
-		t.Fatalf("gateway exposition does not parse: %v\n%s", err, body)
+		t.Fatalf("gateway /metrics: %v", err)
 	}
 	if got := samples[`tcgate_nodes`]; got != 2 {
 		t.Errorf("tcgate_nodes = %v, want 2", got)
@@ -397,21 +391,86 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	if got := samples[`tcgate_jobs_proxied_total{outcome="ok"}`]; got != 1 {
 		t.Errorf(`jobs_proxied{ok} = %v, want 1`, got)
 	}
-	for _, want := range []string{
-		`tcgate_node_up{node="node0"}`,
-		`tcgate_node_up{node="node1"}`,
-		`tcgate_node_queue_depth{node="node0"}`,
-		`tcgate_node_tracestore_total{node="node0",outcome="capture"}`,
-		`tcgate_node_tracestore_total{node="node1",outcome="cdn_fetch"}`,
-	} {
-		if _, ok := samples[want]; !ok {
-			t.Errorf("exposition lacks %s", want)
+	// Every per-node row mirrors a sample of that node's own /metrics.
+	for _, n := range nodes {
+		own := mustMetrics(t, n)
+		for row, src := range map[string]string{
+			`tcgate_node_up{node=%q}`:                                    "",
+			`tcgate_node_queue_depth{node=%q}`:                           "tcserved_queue_depth",
+			`tcgate_node_in_flight{node=%q}`:                             "tcserved_jobs_in_flight",
+			`tcgate_node_cache_total{node=%q,outcome="hit"}`:             `tcserved_cache_requests_total{result="hit"}`,
+			`tcgate_node_cache_total{node=%q,outcome="miss"}`:            `tcserved_cache_requests_total{result="miss"}`,
+			`tcgate_node_tracestore_total{node=%q,outcome="capture"}`:    "tcserved_tracestore_captures_total",
+			`tcgate_node_tracestore_total{node=%q,outcome="replay"}`:     "tcserved_tracestore_replay_hits_total",
+			`tcgate_node_tracestore_total{node=%q,outcome="disk_load"}`:  `tcserved_tracestore_disk_total{outcome="load"}`,
+			`tcgate_node_tracestore_total{node=%q,outcome="cdn_serve"}`:  `tcserved_tracestore_cdn_total{outcome="serve"}`,
+			`tcgate_node_tracestore_total{node=%q,outcome="cdn_fetch"}`:  `tcserved_tracestore_cdn_total{outcome="fetch"}`,
+			`tcgate_node_tracestore_total{node=%q,outcome="cdn_reject"}`: `tcserved_tracestore_cdn_total{outcome="reject"}`,
+		} {
+			row = fmt.Sprintf(row, n.name)
+			got, ok := samples[row]
+			want := 1.0 // tcgate_node_up
+			if src != "" {
+				want = own[src]
+			}
+			if !ok || got != want {
+				t.Errorf("%s = %v (present %v), want %v from the node's %s", row, got, ok, want, src)
+			}
 		}
 	}
 	captures := samples[`tcgate_node_tracestore_total{node="node0",outcome="capture"}`] +
 		samples[`tcgate_node_tracestore_total{node="node1",outcome="capture"}`]
 	if captures != 1 {
 		t.Errorf("cluster-wide captures = %v, want exactly 1", captures)
+	}
+}
+
+var updateFamilies = flag.Bool("update", false, "rewrite testdata/families_golden.txt")
+
+// TestExpositionFamilies pins the set of metric families a node and the
+// gateway expose after one job with every pass enabled and timed: the
+// "# TYPE" lines of both expositions, sorted. A family that appears,
+// disappears or changes type shows as a golden diff; regenerate with
+// -update only after a deliberate change.
+func TestExpositionFamilies(t *testing.T) {
+	_, gts, nodes := testCluster(t, 1)
+	req := &client.JobRequest{Workload: "compress", Insts: testInsts, Preset: client.PresetAll, TimePasses: true}
+	if _, err := client.New(gts.URL).SubmitJob(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, base := range []string{nodes[0].ts.URL, gts.URL} {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		for _, line := range strings.Split(string(body), "\n") {
+			if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				families = append(families, fam)
+			}
+		}
+	}
+	sort.Strings(families)
+	got := strings.Join(families, "\n") + "\n"
+
+	const path = "testdata/families_golden.txt"
+	if *updateFamilies {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("exposition families differ from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
@@ -430,7 +489,7 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 }
 
-func mustMetrics(t *testing.T, n *testNode) *client.Metrics {
+func mustMetrics(t *testing.T, n *testNode) map[string]float64 {
 	t.Helper()
 	m, err := client.New(n.ts.URL).Metrics(context.Background())
 	if err != nil {

@@ -6,25 +6,21 @@ import (
 	"sync"
 	"time"
 
-	"tcsim/client"
 	"tcsim/internal/obs"
 )
 
-// scrapeTimeout bounds the per-node /metrics.json fetch during a
-// gateway exposition. A slow node costs one scrape interval, not a
-// hung dashboard.
+// scrapeTimeout bounds the per-node /metrics fetch during a gateway
+// exposition. A slow node costs one scrape interval, not a hung
+// dashboard.
 const scrapeTimeout = 2 * time.Second
 
 // handleMetrics implements GET /metrics: the gateway's own counters
-// plus a live per-node scrape aggregated under a `node` label, so one
-// Prometheus target observes the whole cluster — queue depths, cache
-// hits, and the trace CDN's capture-once economics.
+// plus a live scrape of every node's /metrics, re-labelled under a
+// `node` label, so one Prometheus target observes the whole cluster —
+// queue depths, cache hits, and the trace CDN's capture-once economics.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	type scrape struct {
-		m  *client.Metrics
-		up bool
-	}
-	scrapes := make([]scrape, len(g.nodes))
+	// scrapes[i] is node i's parsed exposition; nil if it did not answer.
+	scrapes := make([]map[string]float64, len(g.nodes))
 	var wg sync.WaitGroup
 	for i := range g.nodes {
 		wg.Add(1)
@@ -32,9 +28,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), scrapeTimeout)
 			defer cancel()
-			m, err := g.probeClients[i].Metrics(ctx)
-			if err == nil {
-				scrapes[i] = scrape{m: m, up: true}
+			if m, err := g.probeClients[i].Metrics(ctx); err == nil {
+				scrapes[i] = m
 			}
 		}(i)
 	}
@@ -75,77 +70,51 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	up := make([]obs.LabeledValue, len(g.nodes))
 	for i, n := range g.nodes {
 		v := 0.0
-		if scrapes[i].up {
+		if scrapes[i] != nil {
 			v = 1
 		}
 		up[i] = obs.LabeledValue{Labels: [][2]string{{"node", n.Name}}, Value: v}
 	}
 	e.GaugeVec("tcgate_node_up", "Whether the node answered this scrape.", up)
 
-	nodeGauge := func(name, help string, pick func(*client.Metrics) float64) {
-		rows := make([]obs.LabeledValue, 0, len(g.nodes))
+	// perNode re-emits node samples under a node label: each source is
+	// an {outcome, node sample} pair, and an empty outcome adds no
+	// outcome label.
+	perNode := func(counter bool, name, help string, sources ...[2]string) {
+		var rows []obs.LabeledValue
 		for i, n := range g.nodes {
-			if !scrapes[i].up {
-				continue
-			}
-			rows = append(rows, obs.LabeledValue{
-				Labels: [][2]string{{"node", n.Name}}, Value: pick(scrapes[i].m)})
-		}
-		if len(rows) == 0 {
-			return
-		}
-		e.GaugeVec(name, help, rows)
-	}
-	nodeCounterVec := func(name, help string, pick func(*client.Metrics, string) (float64, bool), outcomes ...string) {
-		rows := make([]obs.LabeledValue, 0, len(g.nodes)*len(outcomes))
-		for i, n := range g.nodes {
-			if !scrapes[i].up {
-				continue
-			}
-			for _, o := range outcomes {
-				if v, ok := pick(scrapes[i].m, o); ok {
-					rows = append(rows, obs.LabeledValue{
-						Labels: [][2]string{{"node", n.Name}, {"outcome", o}}, Value: v})
+			for _, src := range sources {
+				v, ok := scrapes[i][src[1]]
+				if !ok {
+					continue
 				}
+				l := [][2]string{{"node", n.Name}}
+				if src[0] != "" {
+					l = append(l, [2]string{"outcome", src[0]})
+				}
+				rows = append(rows, obs.LabeledValue{Labels: l, Value: v})
 			}
 		}
-		if len(rows) == 0 {
-			return
+		switch {
+		case len(rows) == 0:
+		case counter:
+			e.CounterVec(name, help, rows)
+		default:
+			e.GaugeVec(name, help, rows)
 		}
-		e.CounterVec(name, help, rows)
 	}
-
-	nodeGauge("tcgate_node_queue_depth", "Jobs admitted and waiting on the node.",
-		func(m *client.Metrics) float64 { return float64(m.QueueDepth) })
-	nodeGauge("tcgate_node_in_flight", "Jobs simulating on the node right now.",
-		func(m *client.Metrics) float64 { return float64(m.InFlight) })
-	nodeCounterVec("tcgate_node_cache_total", "Node result-cache traffic.",
-		func(m *client.Metrics, o string) (float64, bool) {
-			switch o {
-			case "hit":
-				return float64(m.CacheHits), true
-			case "miss":
-				return float64(m.CacheMisses), true
-			}
-			return 0, false
-		}, "hit", "miss")
-	nodeCounterVec("tcgate_node_tracestore_total", "Node trace-store traffic.",
-		func(m *client.Metrics, o string) (float64, bool) {
-			ts := m.TraceStore
-			switch o {
-			case "capture":
-				return float64(ts.Captures), true
-			case "replay":
-				return float64(ts.ReplayHits), true
-			case "disk_load":
-				return float64(ts.DiskLoads), true
-			case "cdn_serve":
-				return float64(ts.CDNServes), true
-			case "cdn_fetch":
-				return float64(ts.CDNFetches), true
-			case "cdn_reject":
-				return float64(ts.CDNRejects), true
-			}
-			return 0, false
-		}, "capture", "replay", "disk_load", "cdn_serve", "cdn_fetch", "cdn_reject")
+	perNode(false, "tcgate_node_queue_depth", "Simulations waiting for a worker slot on the node.",
+		[2]string{"", "tcserved_queue_depth"})
+	perNode(false, "tcgate_node_in_flight", "Simulations running on the node right now.",
+		[2]string{"", "tcserved_jobs_in_flight"})
+	perNode(true, "tcgate_node_cache_total", "Node result-cache traffic.",
+		[2]string{"hit", `tcserved_cache_requests_total{result="hit"}`},
+		[2]string{"miss", `tcserved_cache_requests_total{result="miss"}`})
+	perNode(true, "tcgate_node_tracestore_total", "Node trace-store traffic.",
+		[2]string{"capture", "tcserved_tracestore_captures_total"},
+		[2]string{"replay", "tcserved_tracestore_replay_hits_total"},
+		[2]string{"disk_load", `tcserved_tracestore_disk_total{outcome="load"}`},
+		[2]string{"cdn_serve", `tcserved_tracestore_cdn_total{outcome="serve"}`},
+		[2]string{"cdn_fetch", `tcserved_tracestore_cdn_total{outcome="fetch"}`},
+		[2]string{"cdn_reject", `tcserved_tracestore_cdn_total{outcome="reject"}`})
 }

@@ -37,19 +37,12 @@ type Runner struct {
 	// Parallel caps concurrent simulations (0 = GOMAXPROCS). Read once,
 	// when the first simulation starts.
 	Parallel int
-	// Store selects the trace store runs capture and replay through
-	// (nil = the process-wide shared store). The serving layer points
-	// this at its engine's store so a multi-engine process — the cluster
-	// selfcheck boots three nodes in-process — keeps sweep captures
-	// isolated per node.
-	Store *tracestore.Store
 
 	mu      sync.Mutex
 	flights map[string]*flight
 	workers chan struct{} // worker-pool slots, built lazily from Parallel
 
 	simCount atomic.Uint64 // simulations actually executed (not memo hits)
-	running  atomic.Int64  // simulations executing right now (gauge)
 }
 
 // flight is one singleflight cell: the first caller for a key simulates
@@ -224,8 +217,6 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	}
 
 	r.simCount.Add(1)
-	r.running.Add(1)
-	defer r.running.Add(-1)
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxInsts = w.DefaultInsts
 	if r.Insts > 0 {
@@ -236,10 +227,7 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	// Every variant of a workload consumes the same correct-path stream:
 	// capture it once in the shared trace store and replay it here, so a
 	// sweep pays emulation per workload, not per (workload × variant).
-	store := r.Store
-	if store == nil {
-		store = tracestore.Shared()
-	}
+	store := tracestore.Shared()
 	var prog *asm.Program
 	phase := "live"
 	switch {
@@ -287,21 +275,6 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 // SimCount reports how many simulations have actually executed (memo
 // hits and singleflight waiters excluded) — a test and reporting hook.
 func (r *Runner) SimCount() uint64 { return r.simCount.Load() }
-
-// InFlight reports how many simulations are executing at this instant —
-// a live gauge for serving-layer metrics.
-func (r *Runner) InFlight() int64 { return r.running.Load() }
-
-// RunByName is RunContext keyed by workload name, for callers (the
-// serving layer's sweep fan-out) that take names off the wire rather
-// than holding workload.Workload values.
-func (r *Runner) RunByName(ctx context.Context, name string, v ConfigVariant) (pipeline.Stats, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return pipeline.Stats{}, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-	return r.RunContext(ctx, w, v)
-}
 
 // runAll executes the variant over every selected workload, in parallel.
 // The worker pool inside simulate bounds concurrency, so one goroutine

@@ -159,21 +159,19 @@ func (e *Engine) Admit() (release func(), err error) {
 		e.met.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	e.met.admitted.Add(1)
 	e.wg.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			<-e.tickets
-			e.met.admitted.Add(-1)
 			e.wg.Done()
 		})
 	}, nil
 }
 
 // RetryAfter estimates how long a rejected client should back off:
-// current wait-line depth times average job wall time over the worker
-// count, clamped to [1s, 30s].
+// the simulations waiting for a worker slot (plus this one) times
+// average job wall time over the worker count, clamped to [1s, 30s].
 func (e *Engine) RetryAfter() time.Duration {
 	e.mu.Lock()
 	avg := e.avgWallMS
@@ -181,7 +179,7 @@ func (e *Engine) RetryAfter() time.Duration {
 	if avg <= 0 {
 		avg = 250
 	}
-	waiting := float64(e.met.admitted.Load()-e.met.inflight.Load()) + 1
+	waiting := float64(e.met.waiting.Load()) + 1
 	secs := waiting * avg / float64(cap(e.slots)) / 1000
 	switch {
 	case secs < 1:
@@ -194,7 +192,8 @@ func (e *Engine) RetryAfter() time.Duration {
 
 // Run executes one admitted job: cache lookup, singleflight join, or an
 // actual simulation in a worker slot under the spec's timeout. The
-// caller must hold an admission token from Admit for the duration.
+// caller must hold an admission token from Admit for the duration (a
+// sweep's cells share the sweep's token).
 // The returned cached flag covers both cache hits and dedup joins.
 func (e *Engine) Run(ctx context.Context, spec jobSpec) (res tcsim.Result, cached bool, err error) {
 	key := spec.Key()
@@ -288,9 +287,12 @@ func (e *Engine) insert(key string, res tcsim.Result) {
 func (e *Engine) simulate(ctx context.Context, spec jobSpec) (tcsim.Result, error) {
 	wait0 := time.Now()
 	_, qsp := e.spans.Start(ctx, "queue-wait")
+	e.met.waiting.Add(1)
 	select {
 	case e.slots <- struct{}{}:
+		e.met.waiting.Add(-1)
 	case <-ctx.Done():
+		e.met.waiting.Add(-1)
 		qsp.SetError(ctx.Err())
 		qsp.Finish()
 		return tcsim.Result{}, ctx.Err()

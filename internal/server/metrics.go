@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tcsim"
-	"tcsim/client"
 	"tcsim/internal/obs"
 )
 
@@ -43,13 +42,14 @@ type metrics struct {
 	misses    atomic.Uint64
 	joins     atomic.Uint64
 
-	admitted atomic.Int64 // holding an admission token right now
+	waiting  atomic.Int64 // waiting for a worker slot right now
 	inflight atomic.Int64 // simulating right now
 
 	simInsts     atomic.Uint64
 	simBusyNanos atomic.Int64
 
 	sweepCells atomic.Uint64
+	sweepSims  atomic.Uint64 // sweep cells that missed the cache and ran
 
 	tcBypasses atomic.Uint64 // trace-cache fills the policy rejected
 
@@ -79,6 +79,7 @@ type metrics struct {
 
 // reuseAgg is one reuse class's aggregate across executed jobs.
 type reuseAgg struct {
+	class string
 	lines uint64
 	hits  uint64
 }
@@ -140,7 +141,7 @@ func (m *metrics) recordRun(res *tcsim.Result, wall time.Duration) {
 		}
 		agg, ok := m.reuse[label]
 		if !ok {
-			agg = &reuseAgg{}
+			agg = &reuseAgg{class: label}
 			m.reuse[label] = agg
 			m.reuseOrder = append(m.reuseOrder, label)
 		}
@@ -179,13 +180,12 @@ func (m *metrics) passSnapshot() []tcsim.PassStat {
 // reuseSnapshot copies the per-class reuse aggregates in first-seen
 // order (results list classes in canonical order, so first-seen matches
 // it).
-func (m *metrics) reuseSnapshot() []client.ReuseClassMetrics {
+func (m *metrics) reuseSnapshot() []reuseAgg {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]client.ReuseClassMetrics, 0, len(m.reuseOrder))
+	out := make([]reuseAgg, 0, len(m.reuseOrder))
 	for _, label := range m.reuseOrder {
-		agg := m.reuse[label]
-		out = append(out, client.ReuseClassMetrics{Class: label, Lines: agg.lines, Hits: agg.hits})
+		out = append(out, *m.reuse[label])
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -15,34 +13,14 @@ import (
 	"tcsim/internal/obs"
 )
 
-// scrapeMetrics fetches GET /metrics and returns the parsed exposition
-// plus the raw response for header checks.
-func scrapeMetrics(t *testing.T, base string) (map[string]float64, *http.Response) {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseExposition(body)
-	if err != nil {
-		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, body)
-	}
-	return samples, resp
-}
-
 // TestPrometheusExposition: GET /metrics renders a valid, parseable
 // Prometheus exposition whose counters agree with the daemon's traffic,
 // never move backwards across scrapes, and carry populated histograms
-// after a job has executed.
+// and per-pass wall time after a timed job has executed.
 func TestPrometheusExposition(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
-	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts, Preset: client.PresetAll}
+	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts, Preset: client.PresetAll, TimePasses: true}
 	if _, err := cl.SubmitJob(ctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +28,9 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatalf("repeat submission: cached=%v err=%v", job != nil && job.Cached, err)
 	}
 
-	m1, resp := scrapeMetrics(t, cl.Base())
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ExpoContentType {
-		t.Errorf("Content-Type %q, want %q", ct, obs.ExpoContentType)
+	m1, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := map[string]float64{
 		`tcserved_jobs_total{event="completed"}`:       2,
@@ -82,9 +60,15 @@ func TestPrometheusExposition(t *testing.T) {
 	if _, ok := m1[`tcserved_pass_segments_total{pass="moves"}`]; !ok {
 		t.Error("no per-pass counters after an optimized run")
 	}
+	if m1[`tcserved_pass_seconds_total{pass="moves"}`] <= 0 {
+		t.Error("no per-pass wall time after a time_passes run")
+	}
 
 	// Counters are monotone between scrapes.
-	m2, _ := scrapeMetrics(t, cl.Base())
+	m2, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, v1 := range m1 {
 		isCounter := strings.Contains(name, "_total") ||
 			strings.HasSuffix(name, "_count") || strings.Contains(name, "_bucket{")
@@ -98,22 +82,13 @@ func TestPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// The JSON snapshot lives on at /metrics.json with the same numbers.
-	jresp, err := http.Get(cl.Base() + "/metrics.json")
+	resp, err := http.Get(cl.Base() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jresp.Body.Close()
-	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/metrics.json Content-Type %q, want application/json", ct)
-	}
-	var met client.Metrics
-	if err := json.NewDecoder(jresp.Body).Decode(&met); err != nil {
-		t.Fatalf("/metrics.json: %v", err)
-	}
-	if met.JobsCompleted != 2 || met.CacheHitRatio != 0.5 {
-		t.Errorf("JSON snapshot completed=%d hit_ratio=%v, want 2/0.5",
-			met.JobsCompleted, met.CacheHitRatio)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ExpoContentType {
+		t.Errorf("Content-Type %q, want %q", ct, obs.ExpoContentType)
 	}
 }
 

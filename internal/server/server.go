@@ -14,7 +14,6 @@ import (
 
 	"tcsim"
 	"tcsim/client"
-	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
 	"tcsim/internal/tracestore"
 )
@@ -48,7 +47,6 @@ type Server struct {
 	cfg     Config
 	engine  *Engine
 	jobs    *jobStore
-	sweeps  *experiments.Runner
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the observability middleware
 	log     *slog.Logger
@@ -77,11 +75,6 @@ func New(cfg Config) *Server {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	sweeps := experiments.NewRunner(0)
-	// Sweeps must capture and replay through the same store as jobs, or
-	// a multi-engine process would leak traces across nodes via the
-	// shared store and falsify per-node CDN accounting.
-	sweeps.Store = cfg.Engine.Store
 	service := cfg.Service
 	if service == "" {
 		service = "tcserved"
@@ -91,7 +84,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		engine:     NewEngine(cfg.Engine),
 		jobs:       newJobStore(cfg.JobTTL),
-		sweeps:     sweeps,
 		log:        log,
 		flight:     flight,
 		spans:      flight.Spanner(),
@@ -109,7 +101,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	mux.HandleFunc("GET /debug/spans", s.handleDebugSpans)
 	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
@@ -359,8 +350,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep implements POST /v1/sweeps: resolve the cross product,
-// fan out over the shared experiments runner (which deduplicates and
-// memoizes by config hash), aggregate.
+// run every cell as an engine job (result cache, singleflight, worker
+// slots and per-job timeout, exactly as POST /v1/jobs), aggregate.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req client.SweepRequest
 	if !s.decode(w, r, &req) {
@@ -371,9 +362,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	// A sweep occupies one admission token end to end: its internal
-	// parallelism is bounded by the experiments runner's own pool, but
-	// the daemon still bounds how many sweeps stack up.
+	// A sweep occupies one admission token end to end, so the daemon
+	// bounds how many sweeps stack up; its cells then share the worker
+	// slots with every other job.
 	release, err := s.engine.Admit()
 	if err != nil {
 		s.writeRunError(w, err)
@@ -381,7 +372,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.engine.met.sweepCells.Add(uint64(len(cells)))
-	resp, err := runSweep(r.Context(), s.sweeps, cells)
+	resp, err := s.engine.runSweep(r.Context(), cells)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -478,67 +469,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// handleMetrics implements GET /metrics.json, the JSON counter
-// snapshot (GET /metrics serves the Prometheus exposition).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// Metrics snapshots the daemon's counters.
-func (s *Server) Metrics() *client.Metrics {
-	m := s.engine.met
-	busy := time.Duration(m.simBusyNanos.Load()).Seconds()
-	insts := m.simInsts.Load()
-	ips := 0.0
-	if busy > 0 {
-		ips = float64(insts) / busy
-	}
-	hits, misses := m.hits.Load(), m.misses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	return &client.Metrics{
-		UptimeSecs: time.Since(m.start).Seconds(),
-
-		JobsAccepted:  m.accepted.Load(),
-		JobsCompleted: m.completed.Load(),
-		JobsFailed:    m.failed.Load(),
-		JobsRejected:  m.rejected.Load(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		DedupJoins:    m.joins.Load(),
-		CacheHitRatio: ratio,
-
-		QueueDepth:   max(m.admitted.Load()-m.inflight.Load(), 0),
-		InFlight:     m.inflight.Load(),
-		CacheEntries: s.engine.CacheLen(),
-
-		SimInsts:       insts,
-		SimBusySecs:    busy,
-		SimInstsPerSec: ips,
-
-		SweepCells:       m.sweepCells.Load(),
-		SweepSimulations: s.sweeps.SimCount(),
-		SweepInFlight:    s.sweeps.InFlight(),
-
-		Passes: m.passSnapshot(),
-
-		TraceReuse: m.reuseSnapshot(),
-		TCBypasses: m.tcBypasses.Load(),
-
-		Sampling: client.SamplingMetrics{
-			Windows:            m.sampWindows.Load(),
-			InstsFFwd:          m.sampFFwd.Load(),
-			InstsSkipped:       m.sampSkipped.Load(),
-			Seeks:              m.sampSeeks.Load(),
-			CheckpointRestores: m.sampRestores.Load(),
-		},
-
-		TraceStore: s.traceStoreMetrics(),
-	}
-}
-
 // traceStore returns the store this server's jobs and trace CDN run
 // against: the engine's own when configured, else the process-wide one.
 func (s *Server) traceStore() *tcsim.TraceStore {
@@ -546,25 +476,4 @@ func (s *Server) traceStore() *tcsim.TraceStore {
 		return st
 	}
 	return tracestore.Shared()
-}
-
-// traceStoreMetrics snapshots the server's trace store for the
-// /metrics.json body (the Prometheus exposition reads the same
-// snapshot).
-func (s *Server) traceStoreMetrics() client.TraceStoreMetrics {
-	ts := s.traceStore().Stats()
-	return client.TraceStoreMetrics{
-		Captures:       ts.Captures,
-		ReplayHits:     ts.ReplayHits,
-		Evictions:      ts.Evictions,
-		ResidentBytes:  ts.ResidentBytes,
-		ResidentTraces: ts.ResidentTraces,
-		CaptureSecs:    time.Duration(ts.CaptureNanos).Seconds(),
-		DiskLoads:      ts.DiskLoads,
-		DiskSaves:      ts.DiskSaves,
-		DiskRejects:    ts.DiskRejects,
-		CDNServes:      ts.CDNServes,
-		CDNFetches:     ts.CDNFetches,
-		CDNRejects:     ts.CDNRejects,
-	}
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,11 +102,11 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.CacheHits == 0 || met.CacheMisses == 0 || met.JobsCompleted != 3 {
-		t.Errorf("metrics: hits %d misses %d completed %d, want >0, >0, 3",
-			met.CacheHits, met.CacheMisses, met.JobsCompleted)
+	hits, misses := met[`tcserved_cache_requests_total{result="hit"}`], met[`tcserved_cache_requests_total{result="miss"}`]
+	if completed := met[`tcserved_jobs_total{event="completed"}`]; hits == 0 || misses == 0 || completed != 3 {
+		t.Errorf("metrics: hits %v misses %v completed %v, want >0, >0, 3", hits, misses, completed)
 	}
-	if len(met.Passes) == 0 {
+	if met[`tcserved_pass_segments_total{pass="moves"}`] == 0 {
 		t.Error("metrics: no per-pass aggregate after an optimized run")
 	}
 }
@@ -191,7 +193,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	// bypass admission. (Nothing cached yet here, so just verify the
 	// counters; the rejection was counted.)
 	met, _ := cl.Metrics(ctx)
-	if met.JobsRejected == 0 {
+	if met[`tcserved_jobs_total{event="rejected"}`] == 0 {
 		t.Error("jobs_rejected counter is zero after a 429")
 	}
 
@@ -265,7 +267,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestSweepEndpoint: a sweep crosses workloads x configs, its cells
-// agree with direct runs, and a repeated sweep is fully memoized.
+// agree with direct runs, and a repeated sweep is served entirely from
+// the result cache.
 func TestSweepEndpoint(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -305,13 +308,13 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("no sweep row with the job-path key %s: hashing diverged between paths", key)
 	}
 
-	// The same sweep again: all memoized, zero new simulations.
+	// The same sweep again: all cache hits, zero new simulations.
 	resp2, err := cl.Sweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Simulations != 0 {
-		t.Errorf("repeated sweep simulated %d cells, want 0 (memoized)", resp2.Simulations)
+		t.Errorf("repeated sweep simulated %d cells, want 0 (cached)", resp2.Simulations)
 	}
 
 	// Validation: configs naming workloads are rejected.
@@ -319,6 +322,115 @@ func TestSweepEndpoint(t *testing.T) {
 		Configs: []client.JobRequest{{Workload: "m88ksim"}},
 	}); err == nil {
 		t.Error("sweep config naming a workload was accepted")
+	}
+}
+
+// TestSweepMatchesJobs: a sweep cell runs exactly what POST /v1/jobs
+// runs for the same request — sampling plans, replacement policies and
+// timeouts included. The sweep and the job go to separate daemons, so
+// neither answer can come from the other's cache.
+func TestSweepMatchesJobs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		workload string
+		insts    uint64
+		cfg      client.JobRequest
+		wantCode string // the job path's error code; "" = it succeeds
+	}{
+		{name: "sampled", workload: "compress", insts: 100_000,
+			cfg: client.JobRequest{SamplePeriod: 20000, SampleWindow: 2000, SampleWarmup: 2000}},
+		{name: "policies", workload: "compress", insts: testInsts,
+			cfg: client.JobRequest{TCPolicy: "srrip", ICPolicy: "srrip"}},
+		{name: "timeout", workload: "gcc", insts: 200_000,
+			cfg: client.JobRequest{TimeoutMS: 1}, wantCode: "timeout"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, sweeps := newTestServer(t, Config{})
+			_, jobs := newTestServer(t, Config{})
+			jr := tc.cfg
+			jr.Workload, jr.Insts = tc.workload, tc.insts
+			job, jerr := jobs.SubmitJob(ctx, &jr)
+			resp, serr := sweeps.Sweep(ctx, &client.SweepRequest{
+				Workloads: []string{tc.workload},
+				Configs:   []client.JobRequest{tc.cfg},
+				Insts:     tc.insts,
+			})
+			if tc.wantCode != "" {
+				var jae, sae *client.APIError
+				if !errors.As(jerr, &jae) || jae.Code != tc.wantCode {
+					t.Fatalf("job: %v, want %s", jerr, tc.wantCode)
+				}
+				if !errors.As(serr, &sae) || sae.Status != jae.Status || sae.Code != jae.Code {
+					t.Fatalf("sweep answered %v (rows %+v), job answered %d %s", serr, resp, jae.Status, jae.Code)
+				}
+				return
+			}
+			if jerr != nil || serr != nil {
+				t.Fatalf("job: %v, sweep: %v", jerr, serr)
+			}
+			r := job.Result
+			want := client.SweepRow{Workload: tc.workload, Key: job.Key, IPC: r.IPC, Cycles: r.Cycles,
+				Retired: r.Retired, TCHitRate: r.TraceCacheHitRate, MispredictRate: r.MispredictRate}
+			if len(resp.Rows) != 1 || resp.Rows[0] != want {
+				t.Fatalf("sweep rows %+v, job path gives %+v", resp.Rows, want)
+			}
+		})
+	}
+}
+
+// TestSweepQueueDepth: sweep cells take worker slots like jobs. With one
+// worker, a 3-cell sweep runs one cell while the other two wait for the
+// slot, and the exposition reads exactly that.
+func TestSweepQueueDepth(t *testing.T) {
+	srv, cl := newTestServer(t, Config{Engine: EngineConfig{Workers: 1}})
+	fake := &fakeSim{release: make(chan struct{})}
+	fake.install(srv.engine)
+	release := sync.OnceFunc(func() { close(fake.release) })
+	defer release() // a failed assertion must not leave the cells blocked
+	ctx := context.Background()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Sweep(ctx, &client.SweepRequest{Workloads: []string{"m88ksim", "compress", "li"}, Insts: 1000})
+		done <- err
+	}()
+
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		met, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth, running := met["tcserved_queue_depth"], met["tcserved_jobs_in_flight"]
+		if depth == 2 && running == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %v, in flight %v; want 2 and 1", depth, running)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := fake.startedCount(); n != 1 {
+		t.Errorf("%d cells simulating with one worker", n)
+	}
+
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	met, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sample, want := range map[string]float64{
+		"tcserved_queue_depth":             0,
+		"tcserved_jobs_in_flight":          0,
+		"tcserved_sweep_cells_total":       3,
+		"tcserved_sweep_simulations_total": 3,
+	} {
+		if got := met[sample]; got != want {
+			t.Errorf("after the sweep %s = %v, want %v", sample, got, want)
+		}
 	}
 }
 

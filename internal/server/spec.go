@@ -1,8 +1,8 @@
 // Package server implements tcserved, the simulation-as-a-service
 // daemon: an HTTP/JSON front end over the tcsim simulator with a
 // bounded worker pool, a canonical-config-hash result cache with
-// singleflight deduplication, an async job store with TTL GC, sweep
-// fan-out over the experiments runner, backpressure, and live metrics.
+// singleflight deduplication, an async job store with TTL GC, sweeps
+// whose cells run as engine jobs, backpressure, and live metrics.
 package server
 
 import (
@@ -185,7 +185,8 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 // Key is the canonical config hash: sha256 over the spec's canonical
 // JSON, truncated to 16 hex digits. Identical simulations — however
 // their requests were phrased — produce identical keys; the result
-// cache, singleflight table, and sweep memoization all key on it.
+// cache and singleflight table, which jobs and sweep cells share, key
+// on it.
 func (s jobSpec) Key() string {
 	b, err := json.Marshal(s)
 	if err != nil {

@@ -2,46 +2,18 @@ package server
 
 import (
 	"context"
-	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tcsim"
 	"tcsim/client"
-	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
-	"tcsim/internal/pipeline"
 )
 
 // maxSweepCells bounds one sweep request's fan-out so a single POST
 // cannot queue unbounded work.
 const maxSweepCells = 4096
-
-// sweepVariant adapts a resolved jobSpec to the experiments runner's
-// variant model. The variant name is the canonical config hash, so the
-// runner's singleflight memoization deduplicates identical cells within
-// a sweep, across concurrent sweeps, and across requests for the
-// daemon's lifetime.
-func sweepVariant(spec jobSpec) experiments.ConfigVariant {
-	return experiments.ConfigVariant{
-		Name: spec.Key(),
-		Mut: func(c *pipeline.Config) {
-			c.MaxInsts = spec.Insts
-			if spec.MaxCyc > 0 {
-				c.MaxCycles = spec.MaxCyc
-			}
-			c.Fill.Passes = spec.Passes
-			c.Fill.TimePasses = spec.Timed
-			c.Fill.FillLatency = spec.FillLat
-			c.Fill.TracePacking = spec.Packing
-			c.Fill.Promotion = spec.Promote
-			c.InactiveIssue = spec.Inactive
-			c.UseTraceCache = spec.TCache
-			c.Exec.Clusters, c.Fill.Clusters = spec.Clusters, spec.Clusters
-			c.Exec.FUsPerCluster, c.Fill.FUsPerCluster = spec.FUs, spec.FUs
-		},
-	}
-}
 
 // sweepCell is one (workload, config) pair of the cross product. req is
 // the single-cell JobRequest the spec was resolved from (workload and
@@ -120,71 +92,58 @@ func resolveSweep(req *client.SweepRequest, lim Limits) ([]sweepCell, error) {
 	return cells, nil
 }
 
-// runSweep fans the cells out over the shared experiments runner, which
-// bounds concurrency with its own GOMAXPROCS pool and deduplicates
-// identical cells by config hash. The first real error cancels the
-// remaining cells.
-func runSweep(ctx context.Context, r *experiments.Runner, cells []sweepCell) (*client.SweepResponse, error) {
+// runSweep runs every cell as an engine job: each goes through the
+// job path's result cache, singleflight and worker slots, under its own
+// timeout. The caller holds the sweep's admission token. The first
+// failing cell cancels the rest and is the sweep's error.
+func (e *Engine) runSweep(ctx context.Context, cells []sweepCell) (*client.SweepResponse, error) {
 	t0 := time.Now()
-	sims0 := r.SimCount()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	rows := make([]client.SweepRow, len(cells))
-	errs := make([]error, len(cells))
+	var sims atomic.Uint64
 	var wg sync.WaitGroup
 	for i, cell := range cells {
-		i, cell := i, cell
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each cell runs under its own span: the layers below annotate
-			// the active span (the trace store records whether the cell
-			// captured or replayed), and the request's span must not be
-			// written from many goroutines at once.
+			// Each cell runs under its own span, which groups the cell's
+			// cache-lookup, queue-wait and run spans: the request's span
+			// must not be written from many goroutines at once.
 			ctx, sp := obs.StartSpan(ctx, "sweep-cell")
 			sp.SetAttr("workload", cell.spec.Workload)
 			sp.SetAttr("key", shortKey(cell.spec.Key()))
 			defer sp.Finish()
-			// Label the fan-out goroutine so a CPU profile attributes each
-			// cell's time to its workload and config instead of pooling
-			// every sweep into one anonymous stack.
-			var st pipeline.Stats
-			var err error
-			pprof.Do(ctx, pprof.Labels("sweep_workload", cell.spec.Workload, "sweep_key", shortKey(cell.spec.Key())),
-				func(ctx context.Context) {
-					st, err = r.RunByName(ctx, cell.spec.Workload, sweepVariant(cell.spec))
-				})
+			res, cached, err := e.Run(ctx, cell.spec)
 			if err != nil {
 				sp.SetError(err)
-				errs[i] = err
-				cancel()
+				cancel(err) // only the first cause sticks
 				return
+			}
+			if !cached {
+				sims.Add(1)
 			}
 			rows[i] = client.SweepRow{
 				Workload:       cell.spec.Workload,
 				Key:            cell.spec.Key(),
-				IPC:            st.IPC,
-				Cycles:         st.Cycles,
-				Retired:        st.Retired,
-				TCHitRate:      st.TCHitRate,
-				MispredictRate: st.MispredictRate,
+				IPC:            res.IPC,
+				Cycles:         res.Cycles,
+				Retired:        res.Retired,
+				TCHitRate:      res.TraceCacheHitRate,
+				MispredictRate: res.MispredictRate,
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !isCancel(err) {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	e.met.sweepSims.Add(sims.Load())
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
 	return &client.SweepResponse{
 		Rows:        rows,
 		Cells:       len(cells),
-		Simulations: r.SimCount() - sims0,
+		Simulations: sims.Load(),
 		WallMS:      float64(time.Since(t0).Microseconds()) / 1000,
 	}, nil
 }

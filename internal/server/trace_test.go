@@ -246,9 +246,10 @@ func TestDebugTraceMergedOutput(t *testing.T) {
 }
 
 // TestSweepCellSpans: every sweep cell runs under its own span, a child
-// of the request's serve span, so the trace store's capture/replay
-// phase lands on the cell that captured or replayed instead of on one
-// span written from every cell goroutine.
+// of the request's serve span, which groups the cell's engine spans
+// (cache-lookup, queue-wait, run); the trace store's capture/replay
+// phase lands on the cell's own run span instead of on one span
+// written from every cell goroutine.
 func TestSweepCellSpans(t *testing.T) {
 	srv, cl := newTestServer(t, Config{})
 	rid := "trace-sweep-1"
@@ -262,6 +263,7 @@ func TestSweepCellSpans(t *testing.T) {
 	}
 	var serveID string
 	var cells []obs.Span
+	var children map[string]map[string]obs.Span // parent span ID -> name -> span
 	deadline := time.Now().Add(2 * time.Second)
 	for serveID == "" {
 		if time.Now().After(deadline) {
@@ -269,12 +271,18 @@ func TestSweepCellSpans(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 		cells = cells[:0]
+		children = map[string]map[string]obs.Span{}
 		for _, s := range srv.Flight().Spans().ByTrace(rid) {
 			switch s.Name {
 			case "POST /v1/sweeps":
 				serveID = s.SpanID
 			case "sweep-cell":
 				cells = append(cells, s)
+			default:
+				if children[s.ParentID] == nil {
+					children[s.ParentID] = map[string]obs.Span{}
+				}
+				children[s.ParentID][s.Name] = s
 			}
 		}
 	}
@@ -288,8 +296,13 @@ func TestSweepCellSpans(t *testing.T) {
 		if c.Attrs["workload"] == "" || c.Attrs["key"] == "" {
 			t.Errorf("sweep-cell missing workload/key attrs: %v", c.Attrs)
 		}
-		if p := c.Attrs["phase"]; p != "capture" && p != "replay" {
-			t.Errorf("sweep-cell %v phase = %q, want capture or replay", c.Attrs, p)
+		for _, name := range []string{"cache-lookup", "queue-wait", "run"} {
+			if _, ok := children[c.SpanID][name]; !ok {
+				t.Errorf("sweep-cell %v has no %s child span", c.Attrs, name)
+			}
+		}
+		if p := children[c.SpanID]["run"].Attrs["phase"]; p != "capture" && p != "replay" {
+			t.Errorf("sweep-cell %v run phase = %q, want capture or replay", c.Attrs, p)
 		}
 	}
 }
