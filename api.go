@@ -437,21 +437,23 @@ func Run(cfg Config, prog *Program) (Result, error) {
 // the context's own error when it is cancelled or its deadline passes.
 // A completed run is bit-for-bit identical to Run with the same Config.
 func RunContext(ctx context.Context, cfg Config, prog *Program) (Result, error) {
-	return runContext(ctx, cfg, prog, nil, nil, 0)
+	return runContext(ctx, cfg, prog, nil, nil, false)
 }
 
 // runContext runs the pipeline over prog. When oracle is non-nil the
 // run replays a captured stream instead of emulating live; the two are
-// bit-for-bit identical. future, when non-nil, is the future-reference
-// index oracle replacement policies consult (the captured trace itself);
-// nil rejects oracle policies at construction. captured, when non-zero,
-// is the record count of a capture this run triggered — a cold run — and
-// emits the capture-phase timeline event (warm replays and live runs
-// carry none, so their timelines match each other exactly).
-func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Source, future pipeline.FutureIndex, captured uint64) (Result, error) {
+// bit-for-bit identical. full, when non-nil, is the captured trace: the
+// future-reference index oracle replacement policies consult; nil
+// rejects oracle policies at construction. captured marks a run that
+// triggered full's capture — a cold run — and emits the capture-phase
+// timeline event (warm replays and live runs carry none, so their
+// timelines match each other exactly).
+func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Source, full *tracestore.Trace, captured bool) (Result, error) {
 	pc := cfg.pipelineConfig()
 	pc.Oracle = oracle
-	pc.Future = future
+	if full != nil { // a typed nil would slip past the oracle-policy check
+		pc.Future = full
+	}
 	if ctx.Done() != nil {
 		pc.Cancelled = func() bool { return ctx.Err() != nil }
 	}
@@ -459,8 +461,8 @@ func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Sourc
 	if cfg.Timeline {
 		rec = obs.NewRecorder(cfg.TimelineEvents)
 		pc.Recorder = rec
-		if captured > 0 {
-			rec.Emit(0, obs.KCapture, captured, cfg.MaxInsts, 0)
+		if captured && full != nil {
+			rec.Emit(0, obs.KCapture, full.Len(), cfg.MaxInsts, 0)
 		}
 	}
 	sim, err := pipeline.New(pc, prog.p)
@@ -524,31 +526,9 @@ func RunWorkloadContextIn(ctx context.Context, cfg Config, name string, st *Trac
 	if cfg.MaxInsts == 0 {
 		cfg.MaxInsts = w.DefaultInsts
 	}
-	if cfg.MaxInsts > tracestore.FullCaptureLimit {
-		// The budget is too large to hold a full per-instruction trace in
-		// the store (a 50M-inst trace is ~850MB). Sampled runs stay
-		// feasible: seek mode runs over a checkpoint log (registers +
-		// page deltas only, seekable), warm mode over live emulation.
-		if cfg.Sampling.Enabled() && cfg.Sampling.Seek {
-			if ent, _, err := st.GetCheckpointLog(ctx, name, cfg.MaxInsts); err == nil {
-				src := tracestore.NewCkptSource(ent.Prog, ent.Trace, pipeline.MaxOracleLead(cfg.pipelineConfig()))
-				return runContext(ctx, cfg, &Program{p: ent.Prog}, src, nil, 0)
-			}
-		}
-		return RunContext(ctx, cfg, &Program{p: w.Build()})
-	}
-	if cfg.MaxInsts > 0 {
-		if ent, outcome, err := st.GetCtx(ctx, name, cfg.MaxInsts); err == nil {
-			var captured uint64
-			if outcome == tracestore.OutcomeCapture {
-				captured = ent.Trace.Len()
-			}
-			return runContext(ctx, cfg, &Program{p: ent.Prog}, ent.Trace.NewReplay(), ent.Trace, captured)
-		}
-		// A store failure (it cannot happen for the bundled workloads)
-		// falls back to plain live emulation.
-	}
-	return RunContext(ctx, cfg, &Program{p: w.Build()})
+	prog, src, full, phase := st.Source(ctx, w, cfg.MaxInsts, cfg.Sampling.Enabled() && cfg.Sampling.Seek,
+		pipeline.MaxOracleLead(cfg.pipelineConfig()))
+	return runContext(ctx, cfg, &Program{p: prog}, src, full, phase == tracestore.OutcomeCapture.String())
 }
 
 // WorkloadDefaultInsts reports the bundled benchmark's default

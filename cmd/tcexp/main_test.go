@@ -7,8 +7,8 @@ import (
 )
 
 // TestBadFlagsExitNonZero covers tcexp's validation exit paths: bad
-// experiment ids and bad pass specs must exit non-zero with the error
-// on stderr and a usage hint, before any simulation starts.
+// experiment ids and bad sampling plans must exit non-zero with the
+// error on stderr and a usage hint, before any simulation starts.
 func TestBadFlagsExitNonZero(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,10 +16,9 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		want string
 	}{
 		{"unknown experiment", []string{"-exp", "fig99"}, "unknown experiment"},
-		{"unknown pass", []string{"-exp", "bench", "-passes", "bogus"}, "unknown pass"},
-		{"passes on figures", []string{"-exp", "fig3", "-passes", "moves"}, "only applies to -exp bench"},
+		{"unknown experiment lists every id", []string{"-exp", "nosuch"}, "ablations, policies, sampling, all)"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
-		{"budget without sampling", []string{"-exp", "bench", "-budget", "1000000"}, "only apply to -exp sampling"},
+		{"budget without sampling", []string{"-exp", "fig3", "-budget", "1000000"}, "only apply to -exp sampling"},
 		{"sample without sampling", []string{"-exp", "fig3", "-sample", "auto"}, "only apply to -exp sampling"},
 		{"malformed sample plan", []string{"-exp", "sampling", "-sample", "50000,oops,5000"}, "period,window,warmup"},
 		{"short sample plan", []string{"-exp", "sampling", "-sample", "50000,5000"}, "period,window,warmup"},
@@ -45,13 +44,17 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	}
 }
 
-// TestListPasses checks the informational path exits 0 on stdout.
-func TestListPasses(t *testing.T) {
+// TestFigureHappyPath runs one small figure end to end: exit 0, the
+// figure on stdout, nothing on stderr.
+func TestFigureHappyPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list-passes"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-exp", "fig3", "-insts", "2000"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "moves") {
-		t.Errorf("stdout %q missing pass roster", stdout.String())
+	if !strings.HasPrefix(stdout.String(), "FIG3: ") {
+		t.Errorf("stdout %q does not start with the FIG3 figure", stdout.String())
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr not empty: %q", stderr.String())
 	}
 }

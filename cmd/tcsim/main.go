@@ -108,6 +108,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Sampling = plan
 	}
+	if *fillLat < 0 {
+		return usagef("-fill-latency must be >= 1, got %d", *fillLat)
+	}
+	if *clusters < 0 || *fus < 0 {
+		return usagef("-clusters and -fus-per-cluster must be positive")
+	}
 	cfg.FillLatency = *fillLat
 	cfg.UseTraceCache = !*noTC
 	cfg.TracePacking = !*noPack

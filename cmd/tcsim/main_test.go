@@ -22,6 +22,9 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"workload and asm", []string{"-workload", "m88ksim", "-asm", "x.s"}, "not both"},
 		{"no input", nil, "pass -workload"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
+		{"negative fill latency", []string{"-workload", "m88ksim", "-fill-latency", "-2"}, "-fill-latency must be >= 1"},
+		{"negative clusters", []string{"-workload", "m88ksim", "-clusters", "-3"}, "-clusters and -fus-per-cluster must be positive"},
+		{"negative fus per cluster", []string{"-workload", "m88ksim", "-fus-per-cluster", "-1"}, "-clusters and -fus-per-cluster must be positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,10 +67,12 @@ func TestHappyPath(t *testing.T) {
 	if !strings.Contains(stdout.String(), "IPC") {
 		t.Errorf("stdout %q missing the IPC line", stdout.String())
 	}
-	for _, listArgs := range [][]string{{"-list"}, {"-list-passes"}} {
+	for _, l := range []struct{ flag, want string }{
+		{"-list", "m88ksim"}, {"-list-passes", "moves"}, {"-list-policies", "lru"},
+	} {
 		var out, errb bytes.Buffer
-		if code := run(listArgs, &out, &errb); code != 0 || out.Len() == 0 {
-			t.Errorf("run(%v) = %d with stdout %q", listArgs, code, out.String())
+		if code := run([]string{l.flag}, &out, &errb); code != 0 || !strings.Contains(out.String(), l.want) {
+			t.Errorf("run(%s) = %d with stdout %q, want a roster naming %q", l.flag, code, out.String(), l.want)
 		}
 	}
 }

@@ -425,7 +425,7 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	}
 }
 
-var updateFamilies = flag.Bool("update", false, "rewrite testdata/families_golden.txt")
+var update = flag.Bool("update", false, "rewrite the testdata/*_golden.txt files")
 
 // TestExpositionFamilies pins the set of metric families a node and the
 // gateway expose after one job with every pass enabled and timed: the
@@ -456,7 +456,7 @@ func TestExpositionFamilies(t *testing.T) {
 	got := strings.Join(families, "\n") + "\n"
 
 	const path = "testdata/families_golden.txt"
-	if *updateFamilies {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -227,33 +227,11 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	// Every variant of a workload consumes the same correct-path stream:
 	// capture it once in the shared trace store and replay it here, so a
 	// sweep pays emulation per workload, not per (workload × variant).
-	store := tracestore.Shared()
-	var prog *asm.Program
-	phase := "live"
-	switch {
-	case cfg.MaxInsts > tracestore.FullCaptureLimit:
-		// Too large for a full per-instruction trace. Seek-mode sampling
-		// runs over a checkpoint log (registers + page deltas, seekable);
-		// anything else emulates live.
-		if cfg.Sampling.Enabled() && cfg.Sampling.Seek {
-			if ent, outcome, err := store.GetCheckpointLog(ctx, w.Name, cfg.MaxInsts); err == nil {
-				prog = ent.Prog
-				cfg.Oracle = tracestore.NewCkptSource(ent.Prog, ent.Trace, pipeline.MaxOracleLead(cfg))
-				phase = outcome.String()
-			}
-		}
-	case cfg.MaxInsts > 0:
-		if ent, outcome, err := store.GetCtx(ctx, w.Name, cfg.MaxInsts); err == nil {
-			prog = ent.Prog
-			cfg.Oracle = ent.Trace.NewReplay()
-			// The captured trace doubles as the future-reference index
-			// oracle replacement policies (the Belady bound) consult.
-			cfg.Future = ent.Trace
-			phase = outcome.String()
-		}
-	}
-	if prog == nil {
-		prog = w.Build()
+	prog, src, full, phase := tracestore.Shared().Source(ctx, w, cfg.MaxInsts,
+		cfg.Sampling.Enabled() && cfg.Sampling.Seek, pipeline.MaxOracleLead(cfg))
+	cfg.Oracle = src
+	if full != nil { // a typed nil would slip past the oracle-policy check
+		cfg.Future = full
 	}
 	sim, err := pipeline.New(cfg, prog)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tcsim/internal/asm"
+	"tcsim/internal/emu"
 	"tcsim/internal/obs"
 	"tcsim/internal/workload"
 )
@@ -201,6 +202,30 @@ func (s *Store) GetCtx(ctx context.Context, name string, budget uint64) (*Entry,
 // when the full trace would not fit the store.
 func (s *Store) GetCheckpointLog(ctx context.Context, name string, budget uint64) (*Entry, Outcome, error) {
 	return s.get(ctx, key{name: name, budget: budget, ckpt: true})
+}
+
+// Source picks where a run of w at budget takes its instructions from;
+// every workload run goes through it. Up to FullCaptureLimit the run
+// replays the full capture, also returned as full: the future index
+// oracle replacement policies read. Above it, a seek-mode sampled run
+// (seek) re-emulates over a checkpoint log with an oracle ring of
+// window records; every other run, and any run the store fails,
+// emulates prog live (src == nil). phase labels the outcome for
+// profiles: "capture", "replay" or "live".
+func (s *Store) Source(ctx context.Context, w workload.Workload, budget uint64, seek bool, window int) (prog *asm.Program, src emu.Source, full *Trace, phase string) {
+	switch {
+	case budget > FullCaptureLimit:
+		if seek {
+			if ent, outcome, err := s.GetCheckpointLog(ctx, w.Name, budget); err == nil {
+				return ent.Prog, NewCkptSource(ent.Prog, ent.Trace, window), nil, outcome.String()
+			}
+		}
+	case budget > 0:
+		if ent, outcome, err := s.GetCtx(ctx, w.Name, budget); err == nil {
+			return ent.Prog, ent.Trace.NewReplay(), ent.Trace, outcome.String()
+		}
+	}
+	return w.Build(), nil, nil, "live"
 }
 
 func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {

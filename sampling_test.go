@@ -3,6 +3,7 @@ package tcsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcsim/internal/tracestore"
@@ -79,6 +80,13 @@ func TestSampledBigBudgetPaths(t *testing.T) {
 	if st.Stats().Captures != 0 {
 		t.Errorf("warm big-budget run touched the store (%d captures); it must emulate live", st.Stats().Captures)
 	}
+	// A live run has no full capture, so no future index: an oracle
+	// policy must be rejected, not handed a nil trace.
+	cfg.TCPolicy = "belady"
+	if _, err := RunWorkloadContextIn(t.Context(), cfg, "compress", st); err == nil || !strings.Contains(err.Error(), "needs future knowledge") {
+		t.Errorf("warm big-budget belady run: err = %v, want the needs-future-knowledge rejection", err)
+	}
+	cfg.TCPolicy = ""
 
 	cfg.Sampling.Seek = true
 	seek, err := RunWorkloadContextIn(t.Context(), cfg, "compress", st)
