@@ -512,9 +512,9 @@ func RunWorkloadContext(ctx context.Context, cfg Config, name string) (Result, e
 
 // RunWorkloadContextIn is RunWorkloadContext against an explicit trace
 // store instead of the process-wide one. Serving layers that host
-// several isolated engines in one process (the cluster selfcheck boots
-// three nodes in-process) give each its own store so "captured once per
-// node" stays observable; a nil store selects the shared one.
+// several isolated engines in one process (the cluster tests boot three
+// nodes in-process) give each its own store so "captured once per node"
+// stays observable; a nil store selects the shared one.
 func RunWorkloadContextIn(ctx context.Context, cfg Config, name string, st *TraceStore) (Result, error) {
 	w, ok := workload.ByName(name)
 	if !ok {

@@ -8,7 +8,6 @@
 //
 //	tcserved -addr :8080
 //	tcserved -addr :8080 -workers 8 -queue 32 -job-ttl 5m -pprof
-//	tcserved -selfcheck
 //
 // Endpoints:
 //
@@ -36,15 +35,6 @@
 // Every request is logged structurally (log/slog; -log-format, -log-level)
 // under an X-Request-ID the response echoes, so client-reported failures
 // can be matched to server-side log lines.
-//
-// -selfcheck starts an in-process daemon, hammers it with a mixed
-// duplicate-heavy job load plus a sweep, asserts every served result is
-// bit-for-bit identical to a direct tcsim.Run of the same config, that
-// the cache deduplicated repeats, that the trace store captured each
-// workload's correct-path stream exactly once and replayed it for every
-// repeat config, that a saturated queue answers 429, that /metrics
-// parses as a valid Prometheus exposition with monotone counters, and
-// that request IDs round-trip — then exits non-zero on any violation.
 package main
 
 import (
@@ -86,10 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxInsts   = fs.Uint64("max-insts", 50_000_000, "per-job retired-instruction cap (0 = unlimited)")
 		drainWait  = fs.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
 		pprofOn    = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		selfcheck  = fs.Bool("selfcheck", false, "run the end-to-end self check (single daemon, then a 3-node cluster behind a gateway) and exit")
-		scJobs     = fs.Int("selfcheck-jobs", 56, "selfcheck: job submissions (>= 50, duplicates included)")
-		scCluster  = fs.Int("selfcheck-cluster-jobs", 2000, "selfcheck: jobs driven through the 3-node cluster phase (>= 2000; 0 skips the phase)")
-		scInsts    = fs.Uint64("insts", 50_000, "selfcheck: retired-instruction budget per job")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		trc        = fs.String("trace", "", "write a runtime execution trace to this file")
@@ -97,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		traceDir   = fs.String("tracedir", "", "directory for persisted workload traces: warm restarts load captures from disk instead of re-emulating (invalid/stale files are rejected and re-captured)")
 		cdnURL     = fs.String("cdn", "", "cluster gateway base URL: capture misses fetch the trace from peers through GET {cdn}/v1/traces/{sha} before emulating (fetched bodies are fail-closed validated)")
-		flightDir  = fs.String("flight-dir", "", "directory for flight-recorder dumps: SIGQUIT, selfcheck failures, and 5xx responses write the recent-span/event buffer there (\"\" = SIGQUIT dumps to the working directory; automatic dumps off)")
+		flightDir  = fs.String("flight-dir", "", "directory for flight-recorder dumps: SIGQUIT and 5xx responses write the recent-span/event buffer there (\"\" = SIGQUIT dumps to the working directory; 5xx dumps off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -147,15 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FlightDir: *flightDir,
 	}
 
-	code := 0
-	if *selfcheck {
-		code = runSelfcheck(stdout, stderr, scfg, *scJobs, *scInsts, *flightDir)
-		if code == 0 && *scCluster > 0 {
-			code = runClusterSelfcheck(stdout, stderr, scfg, *scCluster, *scInsts, *flightDir)
-		}
-	} else {
-		code = serve(stdout, stderr, logger, scfg, *addr, *drainWait, *pprofOn, *flightDir)
-	}
+	code := serve(stdout, stderr, logger, scfg, *addr, *drainWait, *pprofOn, *flightDir)
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(stderr, "tcserved: %v\n", err)
 		if code == 0 {

@@ -42,10 +42,15 @@ func NewPHT(entries int) *PHT {
 		panic("bpred: PHT entries must be a positive power of two")
 	}
 	t := &PHT{counters: make([]Counter, entries), mask: uint32(entries - 1)}
+	t.Reset()
+	return t
+}
+
+// Reset returns every counter to weakly-taken in place.
+func (t *PHT) Reset() {
 	for i := range t.counters {
 		t.counters[i] = 2
 	}
-	return t
 }
 
 // Predict returns the direction for the given index.
@@ -191,8 +196,8 @@ func (p *Predictor) SetHistory(h uint32) { p.hist = h }
 
 // Reset clears all dynamic state.
 func (p *Predictor) Reset() {
-	for i := range p.phts {
-		p.phts[i] = NewPHT(p.cfg.PHTEntries[i])
+	for _, t := range p.phts {
+		t.Reset()
 	}
 	p.hist = 0
 	p.Bias.Reset()

@@ -254,8 +254,8 @@ func TestIndirectTargets(t *testing.T) {
 		t.Error("should track last target")
 	}
 	itb.Reset()
-	if _, ok := itb.Predict(0x400000); ok {
-		t.Error("reset failed")
+	if tgt, ok := itb.Predict(0x400000); ok || tgt != 0 {
+		t.Errorf("after Reset Predict = (%#x, %v), want (0, false) like a fresh buffer", tgt, ok)
 	}
 }
 
@@ -272,5 +272,18 @@ func TestPredictorReset(t *testing.T) {
 	}
 	if _, ok := p.ITB.Predict(4); ok {
 		t.Error("ITB not reset")
+	}
+	// The counters, the trained one at 0x400000 included, are back to a
+	// fresh predictor's, reset in place.
+	fresh := New(Config{})
+	for _, pc := range []uint32{0x400000, 0x400040, 0x401234} {
+		got, _ := p.PredictCond(0, pc)
+		want, _ := fresh.PredictCond(0, pc)
+		if got != want {
+			t.Errorf("PredictCond(0, %#x) = %v after Reset, %v on a fresh predictor", pc, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, p.Reset); allocs != 0 {
+		t.Errorf("Reset allocates %v times, want 0", allocs)
 	}
 }

@@ -100,9 +100,9 @@ func (t *IndirectTargets) Update(pc, target uint32) {
 	t.valid[i] = true
 }
 
-// Reset clears the buffer.
+// Reset clears the buffer: a reset buffer predicts (0, false), like a
+// fresh one.
 func (t *IndirectTargets) Reset() {
-	for i := range t.valid {
-		t.valid[i] = false
-	}
+	clear(t.targets)
+	clear(t.valid)
 }

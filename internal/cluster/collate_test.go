@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"tcsim/client"
 	"tcsim/internal/obs"
+	"tcsim/internal/server"
 )
 
 // getTree fetches one collated span tree from the gateway.
@@ -26,6 +28,26 @@ func getTree(t *testing.T, gwURL, rid string) (obs.SpanTree, int) {
 		}
 	}
 	return tree, resp.StatusCode
+}
+
+// connectedTree polls the gateway for rid's span tree until it is
+// connected: a node commits its serve span just after flushing the
+// response, so the first scrape can race it.
+func connectedTree(t *testing.T, gwURL, rid string) obs.SpanTree {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		tree, code := getTree(t, gwURL, rid)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/trace/%s = %d", rid, code)
+		}
+		if tree.Connected {
+			return tree
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace never became connected: %d spans, %d roots, services %v",
+				tree.SpanCount, len(tree.Roots), tree.Services)
+		}
+	}
 }
 
 // TestTraceCollation: a job proxied through the gateway yields one
@@ -47,23 +69,7 @@ func TestTraceCollation(t *testing.T) {
 		t.Fatalf("job state %q", job.State)
 	}
 
-	// The node commits its serve span just after flushing the response,
-	// so the first scrape can race it; poll briefly for connectivity.
-	var tree obs.SpanTree
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		var code int
-		tree, code = getTree(t, gts.URL, rid)
-		if code != http.StatusOK {
-			t.Fatalf("GET /v1/trace/%s = %d", rid, code)
-		}
-		if tree.Connected || time.Now().After(deadline) {
-			break
-		}
-	}
-	if !tree.Connected {
-		t.Fatalf("trace never became connected: %d spans, %d roots, services %v",
-			tree.SpanCount, len(tree.Roots), tree.Services)
-	}
+	tree := connectedTree(t, gts.URL, rid)
 	if tree.TraceID != rid {
 		t.Errorf("tree trace ID %q", tree.TraceID)
 	}
@@ -104,6 +110,58 @@ func TestTraceCollation(t *testing.T) {
 	// Malformed ID: rejected before any scrape.
 	if _, code := getTree(t, gts.URL, "bad%20id"); code != http.StatusBadRequest {
 		t.Errorf("malformed trace ID = %d, want 400", code)
+	}
+}
+
+// TestFailoverTraceCollation: when a key's owner is dead but the
+// frozen health view still routes to it, the request fails over inside
+// itself, and the collated span tree shows it: one gateway root, a
+// failed attempt on the dead owner, an ok attempt on the survivor, and
+// the survivor's run span.
+func TestFailoverTraceCollation(t *testing.T) {
+	g, gts, nodes := testClusterProbing(t, 2, time.Hour) // no probe notices the kill
+	req := &client.JobRequest{Workload: "go", Insts: testInsts}
+	_, key, err := server.ResolveConfig(req, server.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := g.ring.Owner(key)
+	nodes[owner].ts.Close()
+
+	rid := "failover-trace-rid"
+	job, err := client.New(gts.URL).SubmitJob(client.WithRequestID(context.Background(), rid), req)
+	if err != nil {
+		t.Fatalf("SubmitJob with a dead owner: %v", err)
+	}
+	if job.State != client.StateDone {
+		t.Fatalf("job state %q", job.State)
+	}
+
+	tree := connectedTree(t, gts.URL, rid) // connected: exactly one root
+	if tree.Roots[0].Service != "tcgate" {
+		t.Fatalf("root service %q, want the gateway", tree.Roots[0].Service)
+	}
+	survivor := nodes[1-owner].name
+	if !slices.Contains(tree.Services, survivor) {
+		t.Errorf("services %v do not name the survivor %s", tree.Services, survivor)
+	}
+	var failed, ok int
+	runPhase := ""
+	tree.Walk(func(n *obs.SpanNode) {
+		switch {
+		case n.Name == "attempt" && n.Error != "":
+			failed++
+		case n.Name == "attempt" && n.Attrs["outcome"] == "ok":
+			ok++
+		case n.Name == "run":
+			runPhase = n.Attrs["phase"]
+		}
+	})
+	if failed == 0 || ok == 0 {
+		t.Errorf("%d failed and %d ok attempts, want at least one of each", failed, ok)
+	}
+	if runPhase != "capture" && runPhase != "replay" {
+		t.Errorf("run span phase %q, want capture or replay (or the run span is missing)", runPhase)
 	}
 }
 

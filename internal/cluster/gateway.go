@@ -210,8 +210,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Flight exposes the gateway's flight recorder (SIGQUIT dumps,
-// selfcheck failure dumps, tests).
+// Flight exposes the gateway's flight recorder (SIGQUIT dumps).
 func (g *Gateway) Flight() *obs.FlightRecorder { return g.flight }
 
 // Healthy counts currently routable nodes.

@@ -6,12 +6,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,17 +37,26 @@ type testNode struct {
 
 // testCluster boots n in-process nodes and a gateway over them. Each
 // node gets an isolated trace store so per-node CDN counters mean
-// something. Probes run on a tight interval.
+// something, and serves spans under its node name. Probes run on a
+// tight interval.
 func testCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*testNode) {
+	return testClusterProbing(t, n, 50*time.Millisecond)
+}
+
+// testClusterProbing is testCluster with probe rounds the given interval
+// apart. Each node's queue has room for all 16 clients of the storm
+// test, so none is answered 429 and rehashed onto a second node.
+func testClusterProbing(t *testing.T, n int, probe time.Duration) (*Gateway, *httptest.Server, []*testNode) {
 	t.Helper()
 	nodes := make([]*testNode, n)
 	cfgNodes := make([]Node, n)
 	for i := range nodes {
+		name := fmt.Sprintf("node%d", i)
 		st := tcsim.NewTraceStore(0)
-		srv := server.New(server.Config{Engine: server.EngineConfig{Workers: 2, Store: st}})
+		srv := server.New(server.Config{Engine: server.EngineConfig{Workers: 2, Queue: 64, Store: st}, Service: name})
 		ts := httptest.NewServer(srv.Handler())
-		nodes[i] = &testNode{name: fmt.Sprintf("node%d", i), store: st, srv: srv, ts: ts}
-		cfgNodes[i] = Node{Name: nodes[i].name, URL: ts.URL}
+		nodes[i] = &testNode{name: name, store: st, srv: srv, ts: ts}
+		cfgNodes[i] = Node{Name: name, URL: ts.URL}
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
@@ -55,7 +66,7 @@ func testCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*testNode) 
 	}
 	g, err := New(Config{
 		Nodes:         cfgNodes,
-		ProbeInterval: 50 * time.Millisecond,
+		ProbeInterval: probe,
 		ProbeTimeout:  time.Second,
 		Retry:         client.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	})
@@ -132,6 +143,142 @@ func TestGatewayJobAffinity(t *testing.T) {
 		t.Fatalf("polled job = (%q, %q), want done under the same ID", done.State, done.ID)
 	}
 	_ = g
+}
+
+// TestGatewayStorm is the cluster's serving contract under concurrent
+// load: mixed sync and async+poll jobs through the gateway answer
+// bit-for-bit what a direct run answers, each workload is emulated once
+// cluster-wide (other nodes fetch its trace through the CDN), repeats
+// hit their owner's cache, and every node's trace-store samples agree
+// with its own store.
+func TestGatewayStorm(t *testing.T) {
+	_, gts, nodes := testCluster(t, 3)
+	for _, n := range nodes {
+		n.store.SetFetcher(TraceFetcher(gts.URL, nil))
+	}
+	ctx := context.Background()
+	cl := client.New(gts.URL)
+
+	workloads := []string{"compress", "gcc", "li"}
+	configs := []client.JobRequest{
+		{}, // baseline
+		{Preset: client.PresetAll},
+		{Passes: []string{"moves", "place"}},
+		{Preset: client.PresetAll, FillLatency: 5},
+		{Preset: client.PresetAll, TCPolicy: "lru"}, // the default: the key of the "all" row
+		{Preset: client.PresetAll, TCPolicy: "srrip"},
+		{Preset: client.PresetAll, TCPolicy: "belady"},
+		{SamplePeriod: 2000, SampleWindow: 500, SampleWarmup: 500}, // warm mode
+	}
+	type testCase struct {
+		req  client.JobRequest
+		key  string
+		want tcsim.Result
+	}
+	// References run against a store of their own, so they cannot move
+	// any node's counters.
+	ref := tcsim.NewTraceStore(0)
+	var cases []testCase
+	keys := map[string]bool{}
+	for _, w := range workloads {
+		for _, c := range configs {
+			req := c
+			req.Workload, req.Insts = w, testInsts
+			cfg, key, err := server.ResolveConfig(&req, server.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tcsim.RunWorkloadContextIn(ctx, cfg, w, ref)
+			if err != nil {
+				t.Fatalf("direct run %s %+v: %v", w, c, err)
+			}
+			cases = append(cases, testCase{req, key, want})
+			keys[key] = true
+		}
+	}
+	if want := len(workloads) * (len(configs) - 1); len(keys) != want {
+		t.Fatalf("%d distinct keys, want %d: only the explicit lru shares a key", len(keys), want)
+	}
+
+	// One sequential warm job per workload: its owner emulates the trace
+	// before any other node can want it.
+	for _, w := range workloads {
+		if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: w, Insts: testInsts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var storm []testCase
+	for range 5 {
+		storm = append(storm, cases...)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(storm), func(i, j int) { storm[i], storm[j] = storm[j], storm[i] })
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, 16)
+	for i, tc := range storm {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			var job *client.Job
+			var err error
+			if i%3 == 0 {
+				if job, err = cl.SubmitJobAsync(ctx, &tc.req); err == nil {
+					job, err = cl.WaitJob(ctx, job.ID, 2*time.Millisecond)
+				}
+			} else {
+				job, err = cl.SubmitJob(ctx, &tc.req)
+			}
+			switch {
+			case err != nil:
+				t.Errorf("job %d (%s): %v", i, tc.req.Workload, err)
+			case job.State != client.StateDone || job.Result == nil:
+				t.Errorf("job %d (%s): state %q, error %q", i, tc.req.Workload, job.State, job.Error)
+			case job.Key != tc.key:
+				t.Errorf("job %d: served key %s, ResolveConfig key %s", i, job.Key, tc.key)
+			case !reflect.DeepEqual(*job.Result, tc.want):
+				t.Errorf("job %d (%s, key %s): served result differs from the direct run", i, tc.req.Workload, tc.key)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var emulated, fetches, rejects uint64
+	var hits, misses, captureSecs float64
+	for _, n := range nodes {
+		st := n.store.Stats()
+		emulated += st.Captures - st.DiskLoads - st.CDNFetches
+		fetches += st.CDNFetches
+		rejects += st.CDNRejects
+		met := mustMetrics(t, n)
+		hits += met[`tcserved_cache_requests_total{result="hit"}`]
+		misses += met[`tcserved_cache_requests_total{result="miss"}`]
+		captureSecs += met["tcserved_tracestore_capture_seconds_total"]
+		for sample, want := range map[string]float64{
+			"tcserved_tracestore_captures_total":               float64(st.Captures),
+			"tcserved_tracestore_replay_hits_total":            float64(st.ReplayHits),
+			"tcserved_tracestore_resident_traces":              float64(st.ResidentTraces),
+			"tcserved_tracestore_evictions_total":              0,
+			"tcserved_tracestore_capture_seconds_total":        time.Duration(st.CaptureNanos).Seconds(),
+			`tcserved_tracestore_disk_total{outcome="load"}`:   0,
+			`tcserved_tracestore_disk_total{outcome="save"}`:   0,
+			`tcserved_tracestore_disk_total{outcome="reject"}`: 0,
+		} {
+			if got, ok := met[sample]; !ok || got != want {
+				t.Errorf("%s: %s = %v (present %v), want %v", n.name, sample, got, ok, want)
+			}
+		}
+	}
+	if emulated != uint64(len(workloads)) || captureSecs <= 0 {
+		t.Errorf("cluster emulated %d captures in %vs, want exactly %d", emulated, captureSecs, len(workloads))
+	}
+	if fetches == 0 || rejects != 0 {
+		t.Errorf("CDN fetches %d, rejects %d; want some fetches and no rejects", fetches, rejects)
+	}
+	if hits == 0 || misses > float64(len(keys)) {
+		t.Errorf("cache hits %v, misses %v for %d distinct keys; want hits and at most one miss per key",
+			hits, misses, len(keys))
+	}
 }
 
 // TestGatewayBadRequests: invalid jobs and unknown job IDs fail fast at
@@ -306,6 +453,17 @@ func TestGatewayTraceCDN(t *testing.T) {
 		t.Fatalf("unknown trace via gateway = %d, want 404", resp.StatusCode)
 	}
 
+	// Malformed budget: every node would refuse it, so the gateway does.
+	resp, err = http.Get(fmt.Sprintf("%s/v1/traces/%s?budget=never", gts.URL, sha))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed budget via gateway = %d, want 400", resp.StatusCode)
+	}
+
 	// Wire the peer's store to the gateway CDN: its capture for the same
 	// (workload, budget) must be a fetch, not an emulation.
 	peer := 1 - owner
@@ -365,6 +523,31 @@ func TestGatewayPromotion(t *testing.T) {
 		t.Fatal("promotion not counted")
 	}
 	_ = nodes
+}
+
+// TestGatewayProbesOnceAtStart: Start's synchronous round is the only
+// one before the first tick, so an hour between probes freezes the
+// health view (TestFailoverTraceCollation relies on that).
+func TestGatewayProbesOnceAtStart(t *testing.T) {
+	probes := make(chan string, 2) // room for a second round, which must not come
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes <- r.URL.Path
+	}))
+	defer node.Close()
+	g, err := New(Config{Nodes: []Node{{Name: "node0", URL: node.URL}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	defer g.Shutdown(context.Background())
+	if path := <-probes; path != "/healthz/ready" { // Start's own round is synchronous
+		t.Fatalf("first request %s, want a readiness probe", path)
+	}
+	select {
+	case path := <-probes:
+		t.Fatalf("Start's round was followed at once by a request to %s", path)
+	case <-time.After(100 * time.Millisecond):
+	}
 }
 
 // TestGatewayMetricsExposition: the aggregated /metrics endpoint parses

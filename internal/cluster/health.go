@@ -60,13 +60,15 @@ func (h *nodeHealth) snapshot() (healthy bool, lastErr string, demotions uint64)
 
 // probeLoop drives readiness probes against every node until ctx ends.
 // One round probes all nodes concurrently; rounds are interval apart.
+// The first round is Start's own, so the loop's first round waits a
+// full interval: a long interval freezes the health view.
 func (g *Gateway) probeLoop(ctx context.Context) {
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
-		g.probeAll(ctx)
 		select {
 		case <-t.C:
+			g.probeAll(ctx)
 		case <-ctx.Done():
 			return
 		}

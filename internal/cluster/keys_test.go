@@ -13,7 +13,7 @@ import (
 
 // TestRoutingKeysGolden pins the canonical cache key of a corpus of job
 // requests, and where that key lands on the two rings in use: node0..node1
-// (the serve benchmark's) and node0..node2 (the selfcheck's). A key or
+// (the serve benchmark's) and node0..node2 (the cluster tests'). A key or
 // placement that moves is a golden diff: it would orphan every cached
 // result and trace; regenerate with -update only after a deliberate change.
 func TestRoutingKeysGolden(t *testing.T) {

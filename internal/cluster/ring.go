@@ -22,7 +22,7 @@ const DefaultReplicas = 128
 // Ring is an immutable consistent-hash ring over node names. Hashing
 // keys on stable logical names — not URLs — means a node restarted on a
 // new address keeps its shard, and any party that knows the names can
-// compute placement offline (the cluster selfcheck does exactly that).
+// compute placement offline (the cluster tests do exactly that).
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  int

@@ -14,8 +14,8 @@ import (
 // buffer of recent spans plus free-form job-lifecycle events, cheap
 // enough to never switch off. It is read three ways — served live at
 // GET /debug/flight, dumped to disk on SIGQUIT, and dumped
-// automatically when a selfcheck or a 5xx says something just went
-// wrong — so the moments leading up to a failure are always on record.
+// automatically when a 5xx says something just went wrong — so the
+// moments leading up to a failure are always on record.
 //
 // All methods are nil-receiver safe: a daemon constructed without a
 // recorder (unit tests, embedded engines) pays only nil checks.

@@ -1,7 +1,7 @@
 // Package obs is the shared observability layer: a cycle-level timeline
 // recorder the simulator feeds (exported as Chrome trace-event JSON), a
 // Prometheus text-format exposition writer with histogram support, and
-// the parser the self checks validate that output with.
+// the parser the tests validate that output with.
 //
 // The recorder is designed around one hard constraint: when it is
 // disabled (a nil *Recorder) the simulator's cycle loop must stay

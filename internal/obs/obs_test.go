@@ -90,7 +90,7 @@ func TestHistRejectsNonAscendingBounds(t *testing.T) {
 
 // TestExpoParseRoundTrip renders a full exposition through Expo and
 // validates it with ParseExposition — the same pairing the daemon's
-// /metrics and selfcheck use.
+// /metrics and its scrapers use.
 func TestExpoParseRoundTrip(t *testing.T) {
 	h := NewHist("rt_latency_seconds", "A latency histogram.", []float64{0.1, 1})
 	h.Observe(0.05)

@@ -13,7 +13,7 @@ import (
 // Prometheus text-format exposition (version 0.0.4), dependency-free:
 // a concurrent fixed-bucket histogram, a small family writer the
 // daemon's /metrics handler renders with, and a validating parser the
-// tests and the selfcheck scrape through.
+// gateway and the tests scrape through.
 
 // ExpoContentType is the Content-Type of the text exposition format.
 const ExpoContentType = "text/plain; version=0.0.4; charset=utf-8"

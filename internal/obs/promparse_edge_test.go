@@ -9,8 +9,8 @@ import (
 // These tests pin the exposition writer/parser pair on its edges: HELP
 // text that needs escaping, label values with quotes/backslashes/
 // newlines, and +Inf bucket coherence — each written through Expo and
-// read back through ParseExposition, because the selfcheck trusts
-// exactly that round trip.
+// read back through ParseExposition, because the gateway and the
+// serving tests trust exactly that round trip.
 
 func TestExpoEscapedHelpRoundTrip(t *testing.T) {
 	var sb strings.Builder

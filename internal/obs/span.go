@@ -396,7 +396,7 @@ type SpanNode struct {
 // SpanTree is a collated view of one trace: the GET /v1/trace/{id}
 // response body. Connected means the trace forms a single tree — one
 // root, every other span's parent present — which is exactly the
-// property the cluster selfcheck asserts for a failed-over job.
+// property the cluster tests assert for a failed-over job.
 type SpanTree struct {
 	TraceID   string      `json:"trace_id"`
 	SpanCount int         `json:"span_count"`

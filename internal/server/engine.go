@@ -39,8 +39,8 @@ type EngineConfig struct {
 	Limits Limits
 	// Store selects the trace store jobs capture and replay through (nil
 	// = the process-wide shared store). Hosts embedding several engines
-	// in one process — the cluster selfcheck boots three nodes in-process
-	// — give each its own so per-node capture counters stay meaningful.
+	// in one process — the cluster tests boot three nodes in-process —
+	// give each its own so per-node capture counters stay meaningful.
 	Store *tcsim.TraceStore
 }
 

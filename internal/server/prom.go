@@ -11,8 +11,7 @@ import (
 // exposition format (version 0.0.4), the daemon's only metrics view.
 // The exposition is written through the dependency-free obs.Expo
 // writer; obs.ParseExposition, which client.Client.Metrics applies for
-// the gateway, the tests and tcserved -selfcheck, validates exactly
-// this output.
+// the gateway and the tests, validates exactly this output.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ExpoContentType)
 	m := s.engine.met

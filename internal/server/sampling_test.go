@@ -10,6 +10,7 @@ import (
 
 	"tcsim"
 	"tcsim/client"
+	"tcsim/internal/tracestore"
 )
 
 // TestSamplingCacheKeys pins the cache-key contract for sampled jobs:
@@ -82,14 +83,18 @@ func TestSamplingValidation(t *testing.T) {
 // TestEndToEndSampledJob runs warm-mode and seek-mode sampled jobs
 // through the real HTTP surface and requires bit-for-bit agreement with
 // a direct run of the resolved config, plus sampled aggregates in the
-// daemon metrics.
+// daemon metrics. A seek job above the full-capture limit runs over a
+// checkpoint log: it must restore checkpoints and move the skipped and
+// restore counters.
 func TestEndToEndSampledJob(t *testing.T) {
+	defer func(old uint64) { tracestore.FullCaptureLimit = old }(tracestore.FullCaptureLimit)
+	tracestore.FullCaptureLimit = 200_000 // make 300k a "big" budget cheaply
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
 
-	for _, seek := range []bool{false, true} {
-		req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts,
-			SamplePeriod: 2000, SampleWindow: 500, SampleWarmup: 500, SampleSeek: seek}
+	// run serves req and returns the direct run it must equal.
+	run := func(req *client.JobRequest) tcsim.Result {
+		t.Helper()
 		dcfg, _, err := ResolveConfig(req, Limits{})
 		if err != nil {
 			t.Fatal(err)
@@ -99,25 +104,29 @@ func TestEndToEndSampledJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		if expected.Sampled == nil || expected.Sampled.Windows == 0 {
-			t.Fatalf("seek=%v: direct sampled run carries no windows: %+v", seek, expected.Sampled)
+			t.Fatalf("%+v: direct sampled run carries no windows: %+v", *req, expected.Sampled)
 		}
-		if seek && expected.Sampled.Seeks == 0 {
-			t.Errorf("seek mode performed no seeks: %+v", expected.Sampled)
-		}
-
 		job, err := cl.SubmitJob(ctx, req)
 		if err != nil {
-			t.Fatalf("seek=%v SubmitJob: %v", seek, err)
+			t.Fatalf("%+v: SubmitJob: %v", *req, err)
 		}
 		if job.State != client.StateDone || job.Result == nil {
-			t.Fatalf("seek=%v job state %q, error %q", seek, job.State, job.Error)
+			t.Fatalf("%+v: job state %q, error %q", *req, job.State, job.Error)
 		}
 		if !reflect.DeepEqual(*job.Result, expected) {
-			t.Errorf("seek=%v: served sampled result differs from direct run:\nserved %+v\ndirect %+v",
-				seek, *job.Result, expected)
+			t.Errorf("%+v: served sampled result differs from direct run:\nserved %+v\ndirect %+v",
+				*req, *job.Result, expected)
 		}
+		return expected
 	}
 
+	for _, seek := range []bool{false, true} {
+		res := run(&client.JobRequest{Workload: "m88ksim", Insts: testInsts,
+			SamplePeriod: 2000, SampleWindow: 500, SampleWarmup: 500, SampleSeek: seek})
+		if seek && res.Sampled.Seeks == 0 {
+			t.Errorf("seek mode performed no seeks: %+v", res.Sampled)
+		}
+	}
 	met, err := cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +135,22 @@ func TestEndToEndSampledJob(t *testing.T) {
 		`tcserved_sampling_insts_total{mode="ffwd"}`, "tcserved_sampling_seeks_total"} {
 		if met[sample] == 0 {
 			t.Errorf("sampling metrics not aggregated: %s = 0", sample)
+		}
+	}
+
+	big := run(&client.JobRequest{Workload: "compress", Insts: 300_000,
+		SamplePeriod: 100_000, SampleWindow: 5_000, SampleWarmup: 5_000, SampleSeek: true})
+	if big.Sampled.CheckpointRestores == 0 {
+		t.Errorf("seek job above the full-capture limit restored no checkpoints: %+v", big.Sampled)
+	}
+	after, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sample := range []string{`tcserved_sampling_insts_total{mode="skipped"}`,
+		"tcserved_sampling_checkpoint_restores_total"} {
+		if after[sample] <= met[sample] {
+			t.Errorf("%s did not move with the big seek job: %v -> %v", sample, met[sample], after[sample])
 		}
 	}
 }

@@ -31,8 +31,9 @@ type Config struct {
 	// response echoed in X-Request-ID. Nil discards everything.
 	Logger *slog.Logger
 	// Service names this process in spans and flight dumps ("" =
-	// "tcserved"). Cluster selfcheck nodes set their node name here so a
-	// collated span tree shows which node served each attempt.
+	// "tcserved"). Nodes booted in process behind a gateway set their
+	// node name here so a collated span tree shows which node served
+	// each attempt.
 	Service string
 	// FlightDir, when set, enables automatic flight-recorder dumps: a
 	// 5xx response overwrites flight-<service>-last5xx.json there.
@@ -113,11 +114,7 @@ func New(cfg Config) *Server {
 // the request-ID / access-log middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Engine exposes the simulation engine (selfcheck and tests).
-func (s *Server) Engine() *Engine { return s.engine }
-
-// Flight exposes the server's flight recorder (SIGQUIT dumps, selfcheck
-// failure dumps, tests).
+// Flight exposes the server's flight recorder (SIGQUIT dumps, tests).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
 // dumpFlightOn5xx preserves the recorder's state after a server error.

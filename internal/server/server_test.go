@@ -434,7 +434,8 @@ func TestSweepQueueDepth(t *testing.T) {
 	}
 }
 
-// TestPassesAndHealth covers the registry and liveness endpoints.
+// TestPassesAndHealth covers the registry and liveness endpoints;
+// /v1/policies mirrors the replacement-policy registry exactly.
 func TestPassesAndHealth(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -463,5 +464,19 @@ func TestPassesAndHealth(t *testing.T) {
 	}
 	if defaults == 0 {
 		t.Error("no default passes reported")
+	}
+
+	policies, err := cl.Policies(ctx)
+	if err != nil {
+		t.Fatalf("policies: %v", err)
+	}
+	reg := tcsim.Policies()
+	if len(policies) != len(reg) {
+		t.Fatalf("/v1/policies lists %d policies, the registry %d", len(policies), len(reg))
+	}
+	for i, p := range reg {
+		if policies[i] != client.Policy(p) {
+			t.Errorf("/v1/policies[%d] = %+v, registry has %+v", i, policies[i], p)
+		}
 	}
 }

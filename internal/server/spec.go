@@ -235,7 +235,7 @@ const servedTimelineEvents = 1 << 14
 
 // ResolveConfig resolves a wire request exactly as the daemon does,
 // returning the tcsim.Config the job would run and its canonical cache
-// key. The selfcheck harness uses it to compute direct-run reference
+// key. The serving tests use it to compute direct-run reference
 // results for bit-for-bit comparison against served responses.
 func ResolveConfig(req *client.JobRequest, lim Limits) (tcsim.Config, string, error) {
 	spec, err := resolveSpec(req, lim)

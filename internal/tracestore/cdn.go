@@ -84,8 +84,8 @@ func WorkloadHash(name string) (string, bool) {
 
 // Validate checks one serialized trace body against a bundled workload
 // and budget exactly as a replaying node would — magic, version, CRC-32,
-// name, budget, and program content hash. The cluster selfcheck uses it
-// to prove CDN round-trips serve replayable bytes.
+// name, budget, and program content hash. The cluster tests use it to
+// prove CDN round-trips serve replayable bytes.
 func Validate(raw []byte, name string, budget uint64) error {
 	w, ok := workload.ByName(name)
 	if !ok {
