@@ -9,8 +9,8 @@ import (
 
 	"tcsim/internal/asm"
 	"tcsim/internal/core"
-	"tcsim/internal/emu"
 	"tcsim/internal/experiments"
+	"tcsim/internal/machine"
 	"tcsim/internal/obs"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/replace"
@@ -64,12 +64,6 @@ func Passes() []PassDesc {
 // Default pass in canonical order) — what Opt = AllOptions() runs.
 func DefaultPassSpec() []string { return core.DefaultPassSpec() }
 
-// ValidatePassSpec checks a pass spec: every name registered, no
-// duplicates, registered ordering constraints hold. The same validation
-// runs inside every simulator construction; use this to fail fast (e.g.
-// on CLI flag parsing).
-func ValidatePassSpec(spec []string) error { return core.ValidateSpec(spec) }
-
 // PolicyDesc describes one registered cache replacement policy
 // (selectable via Config.TCPolicy / Config.ICPolicy).
 type PolicyDesc struct {
@@ -95,122 +89,18 @@ func Policies() []PolicyDesc {
 // DefaultPolicy returns the name an empty policy field resolves to.
 func DefaultPolicy() string { return replace.Default() }
 
-// ValidatePolicy checks a policy name against the registry ("" is valid:
-// the default). The same check runs inside simulator construction; use
-// this to fail fast on CLI flags or wire requests.
-func ValidatePolicy(name string) error { return replace.Validate(name) }
-
-// Config describes one simulated machine. Zero values select the
-// paper's baseline; construct with DefaultConfig and override fields.
-type Config struct {
-	// Opt selects the fill-unit optimizations (all off = baseline).
-	Opt Options
-	// Passes explicitly selects and orders the optimization pipeline by
-	// registered pass name (see Passes). Empty derives the paper's
-	// canonical order from Opt; non-empty overrides Opt. Illegal orders
-	// are rejected at simulator construction, never silently reordered.
-	Passes []string
-	// TimePasses collects per-pass wall time into Result.PassStats
-	// (off by default: it adds two clock reads per pass per segment).
-	TimePasses bool
-	// FillLatency is the fill pipeline depth in cycles (paper: 1/5/10).
-	FillLatency int
-	// TracePacking packs instructions across block boundaries (default on).
-	TracePacking bool
-	// Promotion embeds static predictions for strongly biased branches
-	// (default on).
-	Promotion bool
-	// InactiveIssue issues non-predicted trace-line blocks inactively
-	// (default on).
-	InactiveIssue bool
-	// UseTraceCache enables the trace cache front end (default on;
-	// disable for the instruction-cache-only ablation).
-	UseTraceCache bool
-	// TCPolicy selects the trace cache's replacement policy by registered
-	// name (see Policies; "" = the default, LRU). The "belady" oracle
-	// needs future knowledge of the reference stream and therefore only
-	// runs under RunWorkload (which replays a captured trace); Run rejects
-	// it.
-	TCPolicy string
-	// ICPolicy selects the L1 instruction cache's replacement policy
-	// ("" = LRU). Data-side caches always use LRU: the replacement lab
-	// targets the fetch path.
-	ICPolicy string
-	// Clusters x FUsPerCluster organizes the 16 functional units
-	// (paper: 4 x 4).
-	Clusters      int
-	FUsPerCluster int
-	// MaxInsts stops the simulation after this many retired
-	// instructions (0 = run until the program halts).
-	MaxInsts uint64
-	// MaxCycles aborts a non-halting simulation (0 = a very large bound).
-	MaxCycles uint64
-
-	// Sampling enables SMARTS-style sampled timing: detailed
-	// cycle-accurate windows at each Period boundary (a Warmup prefix is
-	// timed but discarded), functional fast-forward — or, with Seek, a
-	// checkpoint seek — in between, and a sampled-IPC estimate with a
-	// 95% confidence interval in Result.Sampled. The zero value runs
-	// exact simulation, bit-for-bit identical to earlier releases.
-	// DefaultSamplingFor builds a sensible plan for a budget.
-	Sampling SamplingConfig
-
-	// Timeline records a cycle-level event timeline (fetch source,
-	// segment finalization, per-pass rewrites, issue/retire occupancy)
-	// into Result.Timeline. Recording observes the run without touching
-	// timing: a run with Timeline on is bit-for-bit identical to the same
-	// run with it off. Off (the default) costs nothing — the cycle loop
-	// stays allocation-free.
-	Timeline bool
-	// TimelineEvents bounds the timeline ring buffer; when full the
-	// oldest events are dropped (Result.Timeline.Dropped counts them).
-	// 0 selects the default capacity (65536 events).
-	TimelineEvents int
-}
+// Config describes one simulated machine. It is an alias of the
+// internal resolved config, so the library, tcserved's jobs, tcgate's
+// routing and the figures share one type. Construct it with
+// DefaultConfig and override fields: the zero value turns off the trace
+// cache, trace packing, promotion and inactive issue. Config.Canonical
+// resolves every default, validates, and returns the cache key tcserved
+// would use for a run of a workload.
+type Config = machine.Config
 
 // DefaultConfig returns the paper's baseline machine with no fill-unit
 // optimizations enabled.
-func DefaultConfig() Config {
-	return Config{
-		FillLatency:   1,
-		TracePacking:  true,
-		Promotion:     true,
-		InactiveIssue: true,
-		UseTraceCache: true,
-		Clusters:      4,
-		FUsPerCluster: 4,
-	}
-}
-
-func (c Config) pipelineConfig() pipeline.Config {
-	pc := pipeline.DefaultConfig()
-	pc.Fill.Opt = c.Opt
-	pc.Fill.Passes = c.Passes
-	pc.Fill.TimePasses = c.TimePasses
-	if c.FillLatency > 0 {
-		pc.Fill.FillLatency = c.FillLatency
-	}
-	pc.Fill.TracePacking = c.TracePacking
-	pc.Fill.Promotion = c.Promotion
-	pc.InactiveIssue = c.InactiveIssue
-	pc.UseTraceCache = c.UseTraceCache
-	pc.TCache.Policy = c.TCPolicy
-	pc.Cache.L1IPolicy = c.ICPolicy
-	if c.Clusters > 0 {
-		pc.Exec.Clusters = c.Clusters
-		pc.Fill.Clusters = c.Clusters
-	}
-	if c.FUsPerCluster > 0 {
-		pc.Exec.FUsPerCluster = c.FUsPerCluster
-		pc.Fill.FUsPerCluster = c.FUsPerCluster
-	}
-	pc.MaxInsts = c.MaxInsts
-	if c.MaxCycles > 0 {
-		pc.MaxCycles = c.MaxCycles
-	}
-	pc.Sampling = c.Sampling
-	return pc
-}
+func DefaultConfig() Config { return machine.DefaultConfig() }
 
 // SamplingConfig selects sampled timing (see Config.Sampling). It is an
 // alias of the pipeline type: Period (retired instructions per sampling
@@ -437,49 +327,15 @@ func Run(cfg Config, prog *Program) (Result, error) {
 // the context's own error when it is cancelled or its deadline passes.
 // A completed run is bit-for-bit identical to Run with the same Config.
 func RunContext(ctx context.Context, cfg Config, prog *Program) (Result, error) {
-	return runContext(ctx, cfg, prog, nil, nil, false)
+	return resultOf(machine.RunProgram(ctx, cfg, prog.p))
 }
 
-// runContext runs the pipeline over prog. When oracle is non-nil the
-// run replays a captured stream instead of emulating live; the two are
-// bit-for-bit identical. full, when non-nil, is the captured trace: the
-// future-reference index oracle replacement policies consult; nil
-// rejects oracle policies at construction. captured marks a run that
-// triggered full's capture — a cold run — and emits the capture-phase
-// timeline event (warm replays and live runs carry none, so their
-// timelines match each other exactly).
-func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Source, full *tracestore.Trace, captured bool) (Result, error) {
-	pc := cfg.pipelineConfig()
-	pc.Oracle = oracle
-	if full != nil { // a typed nil would slip past the oracle-policy check
-		pc.Future = full
-	}
-	if ctx.Done() != nil {
-		pc.Cancelled = func() bool { return ctx.Err() != nil }
-	}
-	var rec *obs.Recorder
-	if cfg.Timeline {
-		rec = obs.NewRecorder(cfg.TimelineEvents)
-		pc.Recorder = rec
-		if captured && full != nil {
-			rec.Emit(0, obs.KCapture, full.Len(), cfg.MaxInsts, 0)
-		}
-	}
-	sim, err := pipeline.New(pc, prog.p)
+func resultOf(o machine.Outcome, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := sim.Run()
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil && err == pipeline.ErrCanceled {
-			err = fmt.Errorf("%w: %w", pipeline.ErrCanceled, cerr)
-		}
-		return Result{}, err
-	}
-	res := resultFrom(st, sim.Output())
-	if rec != nil {
-		res.Timeline = rec.Timeline()
-	}
+	res := resultFrom(o.Stats, o.Output)
+	res.Timeline = o.Timeline
 	return res, nil
 }
 
@@ -516,31 +372,7 @@ func RunWorkloadContext(ctx context.Context, cfg Config, name string) (Result, e
 // nodes in-process) give each its own store so "captured once per node"
 // stays observable; a nil store selects the shared one.
 func RunWorkloadContextIn(ctx context.Context, cfg Config, name string, st *TraceStore) (Result, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return Result{}, fmt.Errorf("tcsim: unknown workload %q", name)
-	}
-	if st == nil {
-		st = tracestore.Shared()
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = w.DefaultInsts
-	}
-	prog, src, full, phase := st.Source(ctx, w, cfg.MaxInsts, cfg.Sampling.Enabled() && cfg.Sampling.Seek,
-		pipeline.MaxOracleLead(cfg.pipelineConfig()))
-	return runContext(ctx, cfg, &Program{p: prog}, src, full, phase == tracestore.OutcomeCapture.String())
-}
-
-// WorkloadDefaultInsts reports the bundled benchmark's default
-// retired-instruction budget — what a zero Config.MaxInsts resolves to
-// in RunWorkload. The serving layer uses it to canonicalize job specs so
-// "default budget" and "explicit default budget" hash identically.
-func WorkloadDefaultInsts(name string) (uint64, bool) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return 0, false
-	}
-	return w.DefaultInsts, true
+	return resultOf(machine.Run(ctx, cfg, name, st))
 }
 
 // Suite reproduces the paper's tables and figures while sharing one
@@ -575,52 +407,23 @@ func ReproduceFigure(id string, insts uint64) (string, error) {
 // reusing every simulation the suite has already run.
 func (s *Suite) Reproduce(id string) (string, error) {
 	r := s.r
-	insts := r.Insts
 	switch id {
 	case "table1":
-		return experiments.FormatTable1(insts), nil
+		return experiments.FormatTable1(r.Insts), nil
 	case "fig3":
-		f, err := r.Figure3()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure3())
 	case "fig4":
-		f, err := r.Figure4()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure4())
 	case "fig5":
-		f, err := r.Figure5()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure5())
 	case "fig6":
-		f, err := r.Figure6()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure6())
 	case "fig7":
-		f, err := r.Figure7()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure7())
 	case "fig8":
-		f, err := r.Figure8()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
+		return format(r.Figure8())
 	case "table2":
-		t, err := r.Table2()
-		if err != nil {
-			return "", err
-		}
-		return t.Format(), nil
+		return format(r.Table2())
 	case "ablations":
 		a, err := r.Ablations()
 		if err != nil {
@@ -639,6 +442,14 @@ func (s *Suite) Reproduce(id string) (string, error) {
 	return "", fmt.Errorf("tcsim: unknown experiment %q", id)
 }
 
+// format renders a reproduced figure, or passes its error on.
+func format[F interface{ Format() string }](f F, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return f.Format(), nil
+}
+
 // Sampling reproduces the sampled-timing validation figure: sampled vs
 // exact IPC per workload at valInsts (0 = 2M) with error and
 // CI-coverage columns, then a headline sampled sweep at headInsts
@@ -646,11 +457,7 @@ func (s *Suite) Reproduce(id string) (string, error) {
 // the per-budget default. Validation simulations are memoized like
 // every other figure; headline runs are wall-timed and never cached.
 func (s *Suite) Sampling(valInsts, headInsts uint64, plan SamplingConfig) (string, error) {
-	f, err := s.r.Sampling(valInsts, headInsts, plan)
-	if err != nil {
-		return "", err
-	}
-	return f.Format(), nil
+	return format(s.r.Sampling(valInsts, headInsts, plan))
 }
 
 // ExperimentIDs lists every table/figure id reproduced by the "all"

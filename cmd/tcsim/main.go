@@ -32,6 +32,18 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// Machine flags bind straight to the config's fields; the defaults
+	// are DefaultConfig's. Flags of the opposite polarity (-no-*), the
+	// two budget spellings and the pass shorthands are copied after
+	// parsing.
+	cfg := tcsim.DefaultConfig()
+	fs.BoolVar(&cfg.TimePasses, "time-passes", cfg.TimePasses, "collect per-pass wall time (adds clock reads to the fill path)")
+	fs.IntVar(&cfg.FillLatency, "fill-latency", cfg.FillLatency, "fill unit latency in cycles")
+	fs.IntVar(&cfg.Clusters, "clusters", cfg.Clusters, "execution clusters (clusters x fus-per-cluster must be 16)")
+	fs.IntVar(&cfg.FUsPerCluster, "fus-per-cluster", cfg.FUsPerCluster, "functional units per cluster")
+	fs.StringVar(&cfg.TCPolicy, "tc-policy", cfg.TCPolicy, "trace-cache replacement policy (default "+tcsim.DefaultPolicy()+"; see -list-policies); 'belady' needs -workload")
+	fs.StringVar(&cfg.ICPolicy, "ic-policy", cfg.ICPolicy, "L1 instruction-cache replacement policy (default "+tcsim.DefaultPolicy()+")")
+	fs.IntVar(&cfg.TimelineEvents, "timeline-events", cfg.TimelineEvents, "timeline ring-buffer capacity in events (0 = 65536); oldest events drop when full")
 	var (
 		wl       = fs.String("workload", "", "bundled benchmark to run (see -list)")
 		asmFile  = fs.String("asm", "", "TCR assembly file to assemble and run")
@@ -41,23 +53,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts     = fs.String("opt", "", "fill-unit optimizations: comma list of moves,reassoc,scadd,place, or 'all'")
 		passes   = fs.String("passes", "", "explicit pass pipeline, ordered (e.g. reassoc,moves,scadd,place); overrides -opt; see -list-passes")
 		listPass = fs.Bool("list-passes", false, "list registered optimization passes and exit")
-		tcPolicy = fs.String("tc-policy", "", "trace-cache replacement policy (default "+tcsim.DefaultPolicy()+"; see -list-policies); 'belady' needs -workload")
-		icPolicy = fs.String("ic-policy", "", "L1 instruction-cache replacement policy (default "+tcsim.DefaultPolicy()+")")
 		listPol  = fs.Bool("list-policies", false, "list registered cache replacement policies and exit")
-		timePass = fs.Bool("time-passes", false, "collect per-pass wall time (adds clock reads to the fill path)")
-		fillLat  = fs.Int("fill-latency", 1, "fill unit latency in cycles")
 		noTC     = fs.Bool("no-tcache", false, "disable the trace cache (instruction-cache front end only)")
 		noPack   = fs.Bool("no-packing", false, "disable trace packing")
 		noProm   = fs.Bool("no-promotion", false, "disable branch promotion")
 		noInact  = fs.Bool("no-inactive", false, "disable inactive issue")
-		clusters = fs.Int("clusters", 4, "execution clusters")
-		fus      = fs.Int("fus-per-cluster", 4, "functional units per cluster")
 		list     = fs.Bool("list", false, "list bundled workloads and exit")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		trc      = fs.String("trace", "", "write a runtime execution trace to this file")
 		timeline = fs.String("timeline", "", "write a cycle-level timeline to this file as Chrome trace-event JSON (open in chrome://tracing or ui.perfetto.dev)")
-		tlEvents = fs.Int("timeline-events", 0, "timeline ring-buffer capacity in events (0 = 65536); oldest events drop when full")
 		traceDir = fs.String("tracedir", "", "directory for persisted workload traces: captures are saved there and later runs load them instead of re-emulating (invalid/stale files are rejected and re-captured)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	cfg := tcsim.DefaultConfig()
 	cfg.MaxInsts = *insts
 	if *budget != 0 {
 		if *insts != 0 && *insts != *budget {
@@ -108,37 +112,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Sampling = plan
 	}
-	if *fillLat < 0 {
-		return usagef("-fill-latency must be >= 1, got %d", *fillLat)
+	if cfg.FillLatency < 0 {
+		return usagef("-fill-latency must be >= 1, got %d", cfg.FillLatency)
 	}
-	if *clusters < 0 || *fus < 0 {
+	if cfg.Clusters < 0 || cfg.FUsPerCluster < 0 {
 		return usagef("-clusters and -fus-per-cluster must be positive")
 	}
-	cfg.FillLatency = *fillLat
 	cfg.UseTraceCache = !*noTC
 	cfg.TracePacking = !*noPack
 	cfg.Promotion = !*noProm
 	cfg.InactiveIssue = !*noInact
-	cfg.Clusters = *clusters
-	cfg.FUsPerCluster = *fus
-	cfg.TimePasses = *timePass
 	cfg.Timeline = *timeline != ""
-	cfg.TimelineEvents = *tlEvents
-	cfg.TCPolicy = *tcPolicy
-	cfg.ICPolicy = *icPolicy
-	for _, p := range []string{*tcPolicy, *icPolicy} {
-		if err := tcsim.ValidatePolicy(p); err != nil {
-			return usagef("%v", err)
-		}
-	}
 	if *passes != "" {
 		if *opts != "" {
 			return usagef("pass either -opt or -passes, not both")
 		}
 		cfg.Passes = splitSpec(*passes)
-		if err := tcsim.ValidatePassSpec(cfg.Passes); err != nil {
-			return usagef("%v", err)
-		}
 	}
 	for _, o := range strings.Split(*opts, ",") {
 		switch strings.TrimSpace(o) {
@@ -156,6 +145,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			return usagef("unknown optimization %q (valid: moves,reassoc,scadd,place,all)", o)
 		}
+	}
+	// The rules every front end shares: pass spec, policies, sampling plan
+	// and geometry. The workload itself is checked when it runs, so an
+	// unknown name stays a runtime error.
+	if _, _, err := cfg.Canonical(""); err != nil {
+		return usagef("%v", err)
 	}
 	if *traceDir != "" {
 		tcsim.SetTraceDir(*traceDir)
@@ -250,7 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, ps := range res.PassStats {
 		fmt.Fprintf(stdout, "pass %-14s %9d segs  %9d touched  %9d rewritten  %9d edges removed",
 			ps.Name, ps.Segments, ps.Touched, ps.Rewritten, ps.EdgesRemoved)
-		if *timePass {
+		if cfg.TimePasses {
 			fmt.Fprintf(stdout, "  %.3fms", float64(ps.Nanos)/1e6)
 		}
 		fmt.Fprintln(stdout)

@@ -25,6 +25,7 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"negative fill latency", []string{"-workload", "m88ksim", "-fill-latency", "-2"}, "-fill-latency must be >= 1"},
 		{"negative clusters", []string{"-workload", "m88ksim", "-clusters", "-3"}, "-clusters and -fus-per-cluster must be positive"},
 		{"negative fus per cluster", []string{"-workload", "m88ksim", "-fus-per-cluster", "-1"}, "-clusters and -fus-per-cluster must be positive"},
+		{"geometry other than 16 FUs", []string{"-workload", "m88ksim", "-clusters", "2", "-fus-per-cluster", "2"}, "must be 16 functional units"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -293,6 +293,11 @@ func TestGatewayBadRequests(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != "invalid_argument" {
 		t.Fatalf("bad workload via gateway = %v, want 400 invalid_argument", err)
 	}
+	// A geometry the model cannot simulate is rejected before routing.
+	_, err = cl.SubmitJob(ctx, &client.JobRequest{Workload: "m88ksim", Clusters: 2, FUsPerCluster: 2})
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != "invalid_argument" {
+		t.Fatalf("2x2 geometry via gateway = %v, want 400 invalid_argument", err)
+	}
 	_, err = cl.GetJob(ctx, "j123") // un-namespaced: can't belong to this gateway
 	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
 		t.Fatalf("unknown ID = %v, want 404", err)

@@ -19,16 +19,19 @@ import (
 	"tcsim/internal/bpred"
 	"tcsim/internal/core"
 	"tcsim/internal/emu"
+	"tcsim/internal/machine"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/tracestore"
 	"tcsim/internal/workload"
 )
 
 // Runner executes simulations with singleflight memoization so the
-// figures can share baseline runs: when two figures concurrently ask for
-// the same workload/variant pair, one simulation runs and both wait on
-// it. Simulations are throttled by a worker pool sized GOMAXPROCS (or
-// Parallel). It is safe for concurrent use.
+// figures can share runs: the memo is keyed by the canonical key of the
+// resolved machine (machine.Config.Canonical, the key tcserved caches
+// by), so two variants that describe the same machine simulate once, and
+// when two figures concurrently ask for it, one simulation runs and both
+// wait on it. Simulations are throttled by a worker pool sized
+// GOMAXPROCS (or Parallel). It is safe for concurrent use.
 type Runner struct {
 	// Insts overrides every workload's instruction budget when non-zero.
 	Insts uint64
@@ -72,17 +75,26 @@ func (r *Runner) workloads() []workload.Workload {
 	return out
 }
 
-// ConfigVariant names a machine configuration for caching and reporting.
+// ConfigVariant is one machine configuration of a figure. Name labels
+// profiles and the ablation columns; the memo keys on Cfg alone. A zero
+// Cfg.MaxInsts takes the Runner's budget.
 type ConfigVariant struct {
 	Name string
-	Mut  func(*pipeline.Config)
+	Cfg  machine.Config
+}
+
+// variant is the baseline machine changed by edit.
+func variant(name string, edit func(*machine.Config)) ConfigVariant {
+	cfg := machine.DefaultConfig()
+	edit(&cfg)
+	return ConfigVariant{Name: name, Cfg: cfg}
 }
 
 // VariantFromPasses builds a variant that runs exactly the named passes
 // in the given order (a core pass spec; illegal specs surface as errors
-// from the simulator's constructor).
+// from the run).
 func VariantFromPasses(name string, passes []string) ConfigVariant {
-	return ConfigVariant{Name: name, Mut: func(c *pipeline.Config) { c.Fill.Passes = passes }}
+	return variant(name, func(c *machine.Config) { c.Passes = passes })
 }
 
 // VariantForPass is the one-optimization-at-a-time variant for a single
@@ -95,22 +107,11 @@ func VariantForPass(pass string) ConfigVariant {
 	return VariantFromPasses(pass, []string{pass})
 }
 
-// SinglePassVariants generates the one-pass-at-a-time sweep from the
-// pass registry, in canonical order: one variant per registered pass.
-// A newly registered pass joins the sweep with no edits here.
-func SinglePassVariants() []ConfigVariant {
-	var out []ConfigVariant
-	for _, name := range core.PassNames() {
-		out = append(out, VariantForPass(name))
-	}
-	return out
-}
-
 // Standard variants, generated from the pass registry: each single-pass
 // variant runs exactly that pass; AllOpts runs the paper's combined
 // pipeline (every Default pass in canonical order).
 var (
-	Baseline    = ConfigVariant{Name: "baseline", Mut: func(*pipeline.Config) {}}
+	Baseline    = ConfigVariant{Name: "baseline", Cfg: machine.DefaultConfig()}
 	MovesOnly   = VariantForPass("moves")
 	ReassocOnly = VariantForPass("reassoc")
 	ScaledOnly  = VariantForPass("scadd")
@@ -121,13 +122,10 @@ var (
 // AllOptsLatency returns the combined configuration with a specific fill
 // latency (Figure 8 sweeps 1, 5 and 10 cycles).
 func AllOptsLatency(lat int) ConfigVariant {
-	return ConfigVariant{
-		Name: fmt.Sprintf("all@lat%d", lat),
-		Mut: func(c *pipeline.Config) {
-			c.Fill.Passes = core.DefaultPassSpec()
-			c.Fill.FillLatency = lat
-		},
-	}
+	return variant(fmt.Sprintf("all@lat%d", lat), func(c *machine.Config) {
+		c.Passes = core.DefaultPassSpec()
+		c.FillLatency = lat
+	})
 }
 
 // Run simulates one workload under one variant, memoized.
@@ -137,10 +135,17 @@ func (r *Runner) Run(w workload.Workload, v ConfigVariant) (pipeline.Stats, erro
 
 // RunContext is Run with cancellation: the simulation polls ctx and
 // aborts early when it is cancelled. A cancelled flight is forgotten so
-// a later caller can rerun the pair; completed results are memoized for
-// the Runner's lifetime.
+// a later caller can rerun the machine; completed results are memoized
+// for the Runner's lifetime.
 func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
-	key := w.Name + "/" + v.Name
+	cfg := v.Cfg
+	if cfg.MaxInsts == 0 {
+		cfg.MaxInsts = r.Insts
+	}
+	cfg, key, err := cfg.Canonical(w.Name)
+	if err != nil {
+		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
+	}
 	for {
 		r.mu.Lock()
 		if r.flights == nil {
@@ -166,7 +171,7 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 		r.flights[key] = f
 		r.mu.Unlock()
 
-		f.st, f.err = r.simulate(ctx, w, v)
+		f.st, f.err = r.simulate(ctx, w.Name, v.Name, cfg)
 		if isCancel(f.err) {
 			r.forget(key, f)
 		}
@@ -203,8 +208,9 @@ func (r *Runner) sem() chan struct{} {
 	return r.workers
 }
 
-// simulate runs one actual simulation inside a worker-pool slot.
-func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
+// simulate runs one actual simulation of a resolved config inside a
+// worker-pool slot.
+func (r *Runner) simulate(ctx context.Context, name, label string, cfg machine.Config) (pipeline.Stats, error) {
 	sem := r.sem()
 	select {
 	case sem <- struct{}{}:
@@ -217,37 +223,20 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	}
 
 	r.simCount.Add(1)
-	cfg := pipeline.DefaultConfig()
-	cfg.MaxInsts = w.DefaultInsts
-	if r.Insts > 0 {
-		cfg.MaxInsts = r.Insts
-	}
-	v.Mut(&cfg)
-	cfg.Cancelled = func() bool { return ctx.Err() != nil }
 	// Every variant of a workload consumes the same correct-path stream:
-	// capture it once in the shared trace store and replay it here, so a
+	// the shared trace store captures it once and replays it here, so a
 	// sweep pays emulation per workload, not per (workload × variant).
-	prog, src, full, phase := tracestore.Shared().Source(ctx, w, cfg.MaxInsts,
-		cfg.Sampling.Enabled() && cfg.Sampling.Seek, pipeline.MaxOracleLead(cfg))
-	cfg.Oracle = src
-	if full != nil { // a typed nil would slip past the oracle-policy check
-		cfg.Future = full
-	}
-	sim, err := pipeline.New(cfg, prog)
+	// Label the simulation so profiles split sweep time by workload and
+	// variant; the run adds its capture-vs-replay phase.
+	var out machine.Outcome
+	var err error
+	pprof.Do(ctx, pprof.Labels("workload", name, "variant", label), func(ctx context.Context) {
+		out, err = machine.Run(ctx, cfg, name, tracestore.Shared())
+	})
 	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
+		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", name, label, err)
 	}
-	// Label the simulation so profiles split sweep time by workload,
-	// variant, and capture-vs-replay phase.
-	var st pipeline.Stats
-	pprof.Do(ctx, pprof.Labels("workload", w.Name, "variant", v.Name, "phase", phase),
-		func(context.Context) {
-			st, err = sim.Run()
-		})
-	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
-	}
-	return st, nil
+	return out.Stats, nil
 }
 
 // SimCount reports how many simulations have actually executed (memo
@@ -549,22 +538,16 @@ type AblationResult struct {
 func (r *Runner) Ablations() (*AblationResult, error) {
 	variants := []ConfigVariant{
 		Baseline,
-		{Name: "no-promotion", Mut: func(c *pipeline.Config) { c.Fill.Promotion = false }},
-		{Name: "no-packing", Mut: func(c *pipeline.Config) { c.Fill.TracePacking = false }},
-		{Name: "no-inactive", Mut: func(c *pipeline.Config) { c.InactiveIssue = false }},
-		{Name: "no-tcache", Mut: func(c *pipeline.Config) { c.UseTraceCache = false }},
+		variant("no-promotion", func(c *machine.Config) { c.Promotion = false }),
+		variant("no-packing", func(c *machine.Config) { c.TracePacking = false }),
+		variant("no-inactive", func(c *machine.Config) { c.InactiveIssue = false }),
+		variant("no-tcache", func(c *machine.Config) { c.UseTraceCache = false }),
 		// Every registered pass in canonical order: the combined
 		// configuration plus the dead-write extension — and any custom
 		// pass the embedding program registers, with no edits here.
 		VariantFromPasses("all+dwe", core.AllPassSpec()),
-		{Name: "1x16", Mut: func(c *pipeline.Config) {
-			c.Exec.Clusters, c.Exec.FUsPerCluster = 1, 16
-			c.Fill.Clusters, c.Fill.FUsPerCluster = 1, 16
-		}},
-		{Name: "8x2", Mut: func(c *pipeline.Config) {
-			c.Exec.Clusters, c.Exec.FUsPerCluster = 8, 2
-			c.Fill.Clusters, c.Fill.FUsPerCluster = 8, 2
-		}},
+		variant("1x16", func(c *machine.Config) { c.Clusters, c.FUsPerCluster = 1, 16 }),
+		variant("8x2", func(c *machine.Config) { c.Clusters, c.FUsPerCluster = 8, 2 }),
 	}
 	res := &AblationResult{IPC: make(map[string][]float64)}
 	for _, v := range variants {

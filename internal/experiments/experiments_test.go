@@ -162,6 +162,11 @@ func TestFigure8AndTable2(t *testing.T) {
 	if !strings.Contains(t2.Format(), "TABLE2") {
 		t.Error("table2 format broken")
 	}
+	// Table 2's machine is Figure 8's all@lat1: the memo keys on the
+	// resolved machine, not the variant name, so it simulates once.
+	if got := r.SimCount(); got != 12 {
+		t.Errorf("SimCount = %d, want 12 (3 workloads x 4 machines)", got)
+	}
 }
 
 func TestAblations(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"tcsim/internal/core"
-	"tcsim/internal/pipeline"
+	"tcsim/internal/machine"
 	"tcsim/internal/replace"
 )
 
@@ -39,13 +39,10 @@ func PolicyVariant(policy string) ConfigVariant {
 	if err := replace.Validate(policy); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return ConfigVariant{
-		Name: "policy:" + policy,
-		Mut: func(c *pipeline.Config) {
-			c.Fill.Passes = core.DefaultPassSpec()
-			c.TCache.Policy = policy
-		},
-	}
+	return variant("policy:"+policy, func(c *machine.Config) {
+		c.Passes = core.DefaultPassSpec()
+		c.TCPolicy = policy
+	})
 }
 
 // policyNames returns the registered policy names, oracle policies last.

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"time"
 
+	"tcsim/internal/machine"
 	"tcsim/internal/pipeline"
+	"tcsim/internal/tracestore"
 )
 
 // The sampling experiment validates the SMARTS estimator against full
@@ -60,24 +63,18 @@ type SamplingResult struct {
 }
 
 // SampledVariant is the baseline machine with sampling enabled under
-// the given plan at the given budget. Both parameters land in the
-// variant name so distinct plans memoize separately.
+// the given plan at the given budget.
 func SampledVariant(insts uint64, plan pipeline.SamplingConfig) ConfigVariant {
-	return ConfigVariant{
-		Name: fmt.Sprintf("sampled@%d/p%d-w%d-u%d", insts, plan.Period, plan.WindowLen, plan.Warmup),
-		Mut: func(c *pipeline.Config) {
+	return variant(fmt.Sprintf("sampled@%d/p%d-w%d-u%d", insts, plan.Period, plan.WindowLen, plan.Warmup),
+		func(c *machine.Config) {
 			c.MaxInsts = insts
 			c.Sampling = plan
-		},
-	}
+		})
 }
 
 // ExactVariant is the baseline machine pinned to a specific budget.
 func ExactVariant(insts uint64) ConfigVariant {
-	return ConfigVariant{
-		Name: fmt.Sprintf("exact@%d", insts),
-		Mut:  func(c *pipeline.Config) { c.MaxInsts = insts },
-	}
+	return variant(fmt.Sprintf("exact@%d", insts), func(c *machine.Config) { c.MaxInsts = insts })
 }
 
 // Sampling reproduces the estimator-validation figure: sampled vs exact
@@ -139,21 +136,16 @@ func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConf
 		res.GeomeanAbsErr = math.Exp(logSum / float64(n))
 	}
 
+	head := SampledVariant(headInsts, headPlan).Cfg
 	for _, w := range r.workloads() {
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInsts = headInsts
-		cfg.Sampling = headPlan
-		sim, err := pipeline.New(cfg, w.Build())
-		if err != nil {
-			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
-		}
 		t0 := time.Now()
-		st, err := sim.Run()
+		out, err := machine.Run(context.Background(), head, w.Name, tracestore.Shared())
 		if err != nil {
 			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
 		}
 		wall := time.Since(t0).Seconds()
 		r.simCount.Add(1)
+		st := out.Stats
 		row := SamplingHeadlineRow{
 			Name:      w.Name,
 			IPC:       st.Sampled.IPC,

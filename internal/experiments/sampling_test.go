@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tcsim/internal/pipeline"
+	"tcsim/internal/workload"
 )
 
 // TestSamplingFigure runs the estimator-validation figure at a small
@@ -63,5 +64,35 @@ func TestSamplingFigureMemoizes(t *testing.T) {
 	// Second reproduction reruns only the (uncached) headline row.
 	if got := r.SimCount() - n; got != 1 {
 		t.Errorf("second reproduction ran %d simulations, want 1 (headline only)", got)
+	}
+}
+
+// TestSampledPlansMemoizeApart: a warm and a seek plan of one budget are
+// different machines, so the memo runs both, and the seek plan seeks.
+func TestSampledPlansMemoizeApart(t *testing.T) {
+	r := NewRunner(0)
+	w, _ := workload.ByName("compress")
+	plan := pipeline.SamplingConfig{Period: 20_000, WindowLen: 2_000, Warmup: 2_000}
+	if _, err := r.Run(w, SampledVariant(200_000, plan)); err != nil {
+		t.Fatal(err)
+	}
+	plan.Seek = true
+	st, err := r.Run(w, SampledVariant(200_000, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.SimCount(); n != 2 || st.Sampled == nil || st.Sampled.Seeks == 0 {
+		t.Errorf("warm then seek plan: %d simulations, seek estimate %+v; want 2 and seeks > 0", n, st.Sampled)
+	}
+}
+
+// TestSamplingFigureSeekPlan: the headline runs through the shared run
+// path, whose trace store gives a seek plan a source it can seek.
+func TestSamplingFigureSeekPlan(t *testing.T) {
+	r := NewRunner(0)
+	r.Workloads = []string{"compress"}
+	plan := pipeline.SamplingConfig{Period: 20_000, WindowLen: 2_000, Warmup: 2_000, Seek: true}
+	if _, err := r.Sampling(200_000, 200_000, plan); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 
 	"tcsim/internal/bpred"
 	"tcsim/internal/cache"
@@ -25,8 +26,9 @@ import (
 // ErrCanceled is returned by Run when Config.Cancelled reports true.
 var ErrCanceled = errors.New("pipeline: simulation canceled")
 
-// Config aggregates the configuration of every component. Zero values
-// select the paper's machine.
+// Config aggregates the configuration of every component. Construct it
+// with DefaultConfig: New rejects a geometry other than FUs functional
+// units, the zero one included.
 type Config struct {
 	Fill   core.Config
 	Exec   exec.Config
@@ -154,6 +156,22 @@ func DefaultConfig() Config {
 		InactiveIssue: true,
 		MaxCycles:     1 << 62,
 	}
+}
+
+// FUs is every machine's functional-unit count. The model maps fetch
+// slot i to functional unit i (DESIGN §4), so it equals the fetch width.
+const FUs = trace.MaxInsts
+
+// ValidateGeometry checks a cluster organization: clusters ×
+// fusPerCluster must be exactly FUs. Each factor is checked against
+// 1..FUs before multiplying, so an overflowing product cannot pass.
+func ValidateGeometry(clusters, fusPerCluster int) error {
+	if clusters < 1 || clusters > FUs || fusPerCluster < 1 || fusPerCluster > FUs ||
+		clusters*fusPerCluster != FUs {
+		return fmt.Errorf("clusters x fus_per_cluster must be %d functional units (one per fetch slot), got %d x %d",
+			FUs, clusters, fusPerCluster)
+	}
+	return nil
 }
 
 func (c Config) normalize() Config {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"tcsim/internal/asm"
@@ -126,6 +127,12 @@ func TestNarrowClusterConfigs(t *testing.T) {
 	st := runSim(t, cfg, p)
 	if st.BypassDelayed != 0 {
 		t.Errorf("single cluster reported %d bypass delays", st.BypassDelayed)
+	}
+	// Any other FU count is an error, not an issue-stage panic or another
+	// machine.
+	cfg.Exec.Clusters, cfg.Exec.FUsPerCluster = 2, 2
+	if _, err := New(cfg, p); err == nil || !strings.Contains(err.Error(), "fus_per_cluster") {
+		t.Errorf("New with 2x2 execution clusters: err = %v, want the geometry rule", err)
 	}
 }
 

@@ -28,11 +28,14 @@ import (
 // Faster, but cache/predictor state then carries nothing from the gap —
 // only the warm-up window rebuilds it — so it needs a Seeker source:
 // a captured trace (Replay) or a checkpoint log (CkptSource).
+//
+// The JSON tags are the plan's field names in the canonical cache key
+// (internal/machine); omitempty keeps the plan out of an exact run's key.
 type SamplingConfig struct {
-	Period    uint64 // retired instructions per sampling period (0 = exact simulation)
-	WindowLen uint64 // measured detailed instructions per period
-	Warmup    uint64 // discarded detailed instructions before each window
-	Seek      bool   // skip the gap via checkpoint seek instead of functional warming
+	Period    uint64 `json:"sample_period,omitempty"` // retired instructions per sampling period (0 = exact simulation)
+	WindowLen uint64 `json:"sample_window,omitempty"` // measured detailed instructions per period
+	Warmup    uint64 `json:"sample_warmup,omitempty"` // discarded detailed instructions before each window
+	Seek      bool   `json:"sample_seek,omitempty"`   // skip the gap via checkpoint seek instead of functional warming
 }
 
 // Enabled reports whether sampling is requested.

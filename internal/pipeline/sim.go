@@ -87,6 +87,11 @@ func New(cfg Config, prog *asm.Program) (*Simulator, error) {
 	if err := cfg.Sampling.Validate(); err != nil {
 		return nil, err
 	}
+	for _, g := range [][2]int{{cfg.Exec.Clusters, cfg.Exec.FUsPerCluster}, {cfg.Fill.Clusters, cfg.Fill.FUsPerCluster}} {
+		if err := ValidateGeometry(g[0], g[1]); err != nil {
+			return nil, err
+		}
+	}
 	// The pipeline always runs the fill unit in fetch-aligned mode:
 	// segments start at addresses the fetch engine actually missed on,
 	// otherwise segment starts phase-lock to retirement counts and the

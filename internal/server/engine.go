@@ -191,12 +191,12 @@ func (e *Engine) RetryAfter() time.Duration {
 }
 
 // Run executes one admitted job: cache lookup, singleflight join, or an
-// actual simulation in a worker slot under the spec's timeout. The
+// actual simulation in a worker slot under the job's timeout. The
 // caller must hold an admission token from Admit for the duration (a
 // sweep's cells share the sweep's token).
 // The returned cached flag covers both cache hits and dedup joins.
-func (e *Engine) Run(ctx context.Context, spec jobSpec) (res tcsim.Result, cached bool, err error) {
-	key := spec.Key()
+func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached bool, err error) {
+	key := r.key
 	for {
 		e.mu.Lock()
 		if ent, ok := e.cache[key]; ok {
@@ -233,7 +233,7 @@ func (e *Engine) Run(ctx context.Context, spec jobSpec) (res tcsim.Result, cache
 
 		e.met.misses.Add(1)
 		e.spans.Event(ctx, "cache-lookup", "outcome", "miss", "key", shortKey(key))
-		f.res, f.err = e.simulate(ctx, spec)
+		f.res, f.err = e.simulate(ctx, r)
 		if isCancel(f.err) {
 			e.forget(key, f)
 		} else if f.err == nil {
@@ -279,12 +279,12 @@ func (e *Engine) insert(key string, res tcsim.Result) {
 }
 
 // simulate waits for a worker slot (a visible queue-wait span), then
-// runs the simulation under the spec's timeout in a "run" span carrying
+// runs the simulation under the job's timeout in a "run" span carrying
 // the workload, the capture/replay phase the trace store stamps on it,
 // and a per-pass summary folded from the run's counters. The worker
 // goroutine carries pprof labels so CPU profiles attribute simulation
 // time per job instead of one anonymous blob.
-func (e *Engine) simulate(ctx context.Context, spec jobSpec) (tcsim.Result, error) {
+func (e *Engine) simulate(ctx context.Context, r resolved) (tcsim.Result, error) {
 	wait0 := time.Now()
 	_, qsp := e.spans.Start(ctx, "queue-wait")
 	e.met.waiting.Add(1)
@@ -304,25 +304,25 @@ func (e *Engine) simulate(ctx context.Context, spec jobSpec) (tcsim.Result, erro
 		return tcsim.Result{}, err
 	}
 
-	if spec.timeout > 0 {
+	if r.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, spec.timeout)
+		ctx, cancel = context.WithTimeout(ctx, r.timeout)
 		defer cancel()
 	}
 	rctx, rsp := e.spans.Start(ctx, "run")
-	rsp.SetAttr("workload", spec.Workload)
-	rsp.SetAttr("insts", fmt.Sprintf("%d", spec.Insts))
-	if spec.SamplePeriod > 0 {
+	rsp.SetAttr("workload", r.workload)
+	rsp.SetAttr("insts", fmt.Sprintf("%d", r.cfg.MaxInsts))
+	if sc := r.cfg.Sampling; sc.Enabled() {
 		rsp.SetAttr("sampling", fmt.Sprintf("period=%d window=%d warmup=%d seek=%v",
-			spec.SamplePeriod, spec.SampleWindow, spec.SampleWarmup, spec.SampleSeek))
+			sc.Period, sc.WindowLen, sc.Warmup, sc.Seek))
 	}
 	e.met.inflight.Add(1)
 	t0 := time.Now()
 	var res tcsim.Result
 	var err error
-	pprof.Do(rctx, pprof.Labels("workload", spec.Workload, "job_key", shortKey(spec.Key())),
+	pprof.Do(rctx, pprof.Labels("workload", r.workload, "job_key", shortKey(r.key)),
 		func(ctx context.Context) {
-			res, err = e.runSim(ctx, spec.Config(), spec.Workload)
+			res, err = e.runSim(ctx, r.cfg, r.workload)
 		})
 	wall := time.Since(t0)
 	e.met.inflight.Add(-1)

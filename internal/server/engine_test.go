@@ -10,6 +10,7 @@ import (
 
 	"tcsim"
 	"tcsim/client"
+	"tcsim/internal/workload"
 )
 
 // fakeSim installs a controllable simulation double on the engine and
@@ -44,13 +45,13 @@ func (f *fakeSim) startedCount() int {
 	return f.started
 }
 
-func testSpec(t *testing.T, workload string, insts uint64) jobSpec {
+func testJob(t *testing.T, workload string, insts uint64) resolved {
 	t.Helper()
-	spec, err := resolveSpec(&client.JobRequest{Workload: workload, Insts: insts}, Limits{DefaultTimeout: time.Minute})
+	rj, err := resolveSpec(&client.JobRequest{Workload: workload, Insts: insts}, Limits{DefaultTimeout: time.Minute})
 	if err != nil {
 		t.Fatalf("resolveSpec: %v", err)
 	}
-	return spec
+	return rj
 }
 
 // TestCanonicalKeys verifies that equivalent requests hash identically
@@ -59,13 +60,14 @@ func testSpec(t *testing.T, workload string, insts uint64) jobSpec {
 func TestCanonicalKeys(t *testing.T) {
 	lim := Limits{DefaultTimeout: time.Minute}
 	key := func(req client.JobRequest) string {
-		spec, err := resolveSpec(&req, lim)
+		rj, err := resolveSpec(&req, lim)
 		if err != nil {
 			t.Fatalf("resolveSpec(%+v): %v", req, err)
 		}
-		return spec.Key()
+		return rj.key
 	}
-	def, _ := tcsim.WorkloadDefaultInsts("m88ksim")
+	w, _ := workload.ByName("m88ksim")
+	def := w.DefaultInsts
 
 	same := [][2]client.JobRequest{
 		// implicit vs explicit default instruction budget
@@ -111,6 +113,12 @@ func TestResolveSpecValidation(t *testing.T) {
 		{Workload: "m88ksim", Passes: []string{"place", "moves"}},                  // illegal order
 		{Workload: "m88ksim", TimeoutMS: -1},
 		{Workload: "m88ksim", FillLatency: -2},
+		// geometries other than 16 FUs: too few would panic the issue stage,
+		// too many would run another machine, a huge one would exhaust memory
+		{Workload: "m88ksim", Insts: 1000, Clusters: 2, FUsPerCluster: 2},
+		{Workload: "m88ksim", Insts: 1000, Clusters: 5, FUsPerCluster: 3},
+		{Workload: "m88ksim", Insts: 1000, Clusters: 16, FUsPerCluster: 16},
+		{Workload: "m88ksim", Insts: 1000, Clusters: 1_000_000, FUsPerCluster: 1_000_000},
 	}
 	for i, req := range bad {
 		if _, err := resolveSpec(&req, lim); err == nil {
@@ -127,7 +135,7 @@ func TestEngineCacheAndDedup(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 2, Queue: 64})
 	fake := &fakeSim{release: make(chan struct{})}
 	fake.install(e)
-	spec := testSpec(t, "m88ksim", 1000)
+	spec := testJob(t, "m88ksim", 1000)
 
 	const N = 8
 	var wg sync.WaitGroup
@@ -205,7 +213,7 @@ func TestEngineCacheEviction(t *testing.T) {
 	fake := &fakeSim{}
 	fake.install(e)
 	for i := 1; i <= 10; i++ {
-		spec := testSpec(t, "m88ksim", uint64(i))
+		spec := testJob(t, "m88ksim", uint64(i))
 		if _, _, err := e.Run(context.Background(), spec); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -215,14 +223,14 @@ func TestEngineCacheEviction(t *testing.T) {
 	}
 	// Oldest evicted: re-running insts=1 simulates again.
 	before := fake.startedCount()
-	if _, cached, _ := e.Run(context.Background(), testSpec(t, "m88ksim", 1)); cached {
+	if _, cached, _ := e.Run(context.Background(), testJob(t, "m88ksim", 1)); cached {
 		t.Error("evicted entry reported as cached")
 	}
 	if fake.startedCount() != before+1 {
 		t.Error("evicted entry did not re-simulate")
 	}
 	// Newest retained: insts=10 is a hit.
-	if _, cached, _ := e.Run(context.Background(), testSpec(t, "m88ksim", 10)); !cached {
+	if _, cached, _ := e.Run(context.Background(), testJob(t, "m88ksim", 10)); !cached {
 		t.Error("recent entry was evicted")
 	}
 }
@@ -233,7 +241,7 @@ func TestEngineTimeout(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 1})
 	fake := &fakeSim{release: make(chan struct{})} // never released: job hangs
 	fake.install(e)
-	spec := testSpec(t, "m88ksim", 1000)
+	spec := testJob(t, "m88ksim", 1000)
 	spec.timeout = 30 * time.Millisecond
 
 	_, _, err := e.Run(context.Background(), spec)
@@ -242,7 +250,7 @@ func TestEngineTimeout(t *testing.T) {
 	}
 	// The key must not be poisoned: a retry becomes the new owner.
 	e.mu.Lock()
-	_, stuck := e.flights[spec.Key()]
+	_, stuck := e.flights[spec.key]
 	e.mu.Unlock()
 	if stuck {
 		t.Error("cancelled flight left registered")

@@ -20,40 +20,45 @@ import (
 // never be served for an exact request or vice versa.
 func TestSamplingCacheKeys(t *testing.T) {
 	lim := Limits{DefaultTimeout: time.Minute}
-	resolve := func(req client.JobRequest) jobSpec {
-		spec, err := resolveSpec(&req, lim)
+	resolve := func(req client.JobRequest) resolved {
+		rj, err := resolveSpec(&req, lim)
 		if err != nil {
 			t.Fatalf("resolveSpec(%+v): %v", req, err)
 		}
-		return spec
+		return rj
 	}
 
+	// The canonical JSON inlines the plan's fields after the config's.
 	exact := resolve(client.JobRequest{Workload: "m88ksim"})
-	b, err := json.Marshal(exact)
+	b, err := json.Marshal(exact.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "sample") {
-		t.Errorf("exact spec's canonical JSON mentions sampling (breaks key compatibility with pre-sampling releases): %s", b)
+	plan0, err := json.Marshal(exact.cfg.Sampling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "sample") || string(plan0) != "{}" {
+		t.Errorf("exact config's canonical JSON mentions sampling (breaks key compatibility with pre-sampling releases): %s + %s", b, plan0)
 	}
 
 	plan := client.JobRequest{Workload: "m88ksim",
 		SamplePeriod: 2000, SampleWindow: 500, SampleWarmup: 500}
 	sampled := resolve(plan)
-	if exact.Key() == sampled.Key() {
+	if exact.key == sampled.key {
 		t.Error("exact and sampled requests hash identically")
 	}
 	seekPlan := plan
 	seekPlan.SampleSeek = true
-	if sampled.Key() == resolve(seekPlan).Key() {
+	if sampled.key == resolve(seekPlan).key {
 		t.Error("warm-mode and seek-mode plans hash identically")
 	}
 	otherPeriod := plan
 	otherPeriod.SamplePeriod = 2500
-	if sampled.Key() == resolve(otherPeriod).Key() {
+	if sampled.key == resolve(otherPeriod).key {
 		t.Error("different sampling periods hash identically")
 	}
-	if sampled.Key() != resolve(plan).Key() {
+	if sampled.key != resolve(plan).key {
 		t.Error("identical sampled requests hash differently")
 	}
 }

@@ -232,7 +232,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	spec, err := resolveSpec(&req, s.engine.Limits())
+	rj, err := resolveSpec(&req, s.engine.Limits())
 	if err != nil {
 		s.log.Warn("job rejected", "trace_id", rid, "request_id", rid,
 			"span_id", obs.SpanFrom(r.Context()).ID(), "error", err.Error())
@@ -240,7 +240,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	key := spec.Key()
+	key := rj.key
 	s.engine.met.accepted.Add(1)
 	async := r.URL.Query().Get("async") == "1"
 
@@ -253,7 +253,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.finish(res, true, nil, 0, s.jobs.ttl)
 		s.log.Info("job cache hit", "trace_id", rid, "request_id", rid,
 			"span_id", obs.SpanFrom(r.Context()).ID(), "job_id", j.id,
-			"key", key, "workload", spec.Workload)
+			"key", key, "workload", rj.workload)
 		s.flight.Notef("job cache hit request_id=%s job=%s key=%s", rid, j.id, key)
 		status := http.StatusOK
 		if async {
@@ -275,7 +275,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs.create(key, rid)
 	s.log.Info("job accepted", "trace_id", rid, "request_id", rid,
 		"span_id", obs.SpanFrom(r.Context()).ID(), "job_id", j.id,
-		"key", key, "workload", spec.Workload, "insts", spec.Insts, "async", async)
+		"key", key, "workload", rj.workload, "insts", rj.cfg.MaxInsts, "async", async)
 	s.flight.Notef("job accepted request_id=%s job=%s key=%s async=%v", rid, j.id, key, async)
 	if async {
 		// Detach the request's span identity onto the server's base
@@ -285,13 +285,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx := obs.Detach(s.baseCtx, r.Context())
 		go func() {
 			defer release()
-			s.runJob(ctx, rid, j, spec)
+			s.runJob(ctx, rid, j, rj)
 		}()
 		writeJSON(w, http.StatusAccepted, j.wire())
 		return
 	}
 	defer release()
-	if err := s.runJob(r.Context(), rid, j, spec); err != nil {
+	if err := s.runJob(r.Context(), rid, j, rj); err != nil {
 		s.writeRunError(w, err)
 		return
 	}
@@ -301,7 +301,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // runJob drives one admitted job through the engine and records the
 // outcome on the job record. rid is the submitting request's ID, kept
 // explicitly because async jobs outlive their request context.
-func (s *Server) runJob(ctx context.Context, rid string, j *job, spec jobSpec) error {
+func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) error {
 	j.setRunning()
 	// Async jobs run on a detached context: no active span, only the
 	// submitting request's remote span identity. Log under that parent so
@@ -316,7 +316,7 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, spec jobSpec) e
 		"job_id", j.id, "key", j.key)
 	s.flight.Notef("job started request_id=%s job=%s key=%s", rid, j.id, j.key)
 	t0 := time.Now()
-	res, cached, err := s.engine.Run(ctx, spec)
+	res, cached, err := s.engine.Run(ctx, rj)
 	wall := time.Since(t0)
 	j.finish(res, cached, err, wall, s.jobs.ttl)
 	if err != nil {

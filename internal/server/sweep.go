@@ -16,12 +16,12 @@ import (
 const maxSweepCells = 4096
 
 // sweepCell is one (workload, config) pair of the cross product. req is
-// the single-cell JobRequest the spec was resolved from (workload and
+// the single-cell JobRequest the cell was resolved from (workload and
 // insts inlined), kept so the cluster gateway can re-issue the cell to
 // a backend node verbatim.
 type sweepCell struct {
-	spec jobSpec
-	req  client.JobRequest
+	resolved
+	req client.JobRequest
 }
 
 // SweepCell is one resolved cell of a sweep's cross product, exported
@@ -53,7 +53,7 @@ func ResolveSweepCells(req *client.SweepRequest, lim Limits) ([]SweepCell, error
 	for i, c := range cells {
 		r := c.req
 		r.Workload = ""
-		out[i] = SweepCell{Workload: c.spec.Workload, Key: c.spec.Key(), Req: r}
+		out[i] = SweepCell{Workload: c.workload, Key: c.key, Req: r}
 	}
 	return out, nil
 }
@@ -82,11 +82,11 @@ func resolveSweep(req *client.SweepRequest, lim Limits) ([]sweepCell, error) {
 			if jr.Insts == 0 {
 				jr.Insts = req.Insts
 			}
-			spec, err := resolveSpec(&jr, lim)
+			r, err := resolveSpec(&jr, lim)
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, sweepCell{spec: spec, req: jr})
+			cells = append(cells, sweepCell{resolved: r, req: jr})
 		}
 	}
 	return cells, nil
@@ -112,10 +112,10 @@ func (e *Engine) runSweep(ctx context.Context, cells []sweepCell) (*client.Sweep
 			// cache-lookup, queue-wait and run spans: the request's span
 			// must not be written from many goroutines at once.
 			ctx, sp := obs.StartSpan(ctx, "sweep-cell")
-			sp.SetAttr("workload", cell.spec.Workload)
-			sp.SetAttr("key", shortKey(cell.spec.Key()))
+			sp.SetAttr("workload", cell.workload)
+			sp.SetAttr("key", shortKey(cell.key))
 			defer sp.Finish()
-			res, cached, err := e.Run(ctx, cell.spec)
+			res, cached, err := e.Run(ctx, cell.resolved)
 			if err != nil {
 				sp.SetError(err)
 				cancel(err) // only the first cause sticks
@@ -125,8 +125,8 @@ func (e *Engine) runSweep(ctx context.Context, cells []sweepCell) (*client.Sweep
 				sims.Add(1)
 			}
 			rows[i] = client.SweepRow{
-				Workload:       cell.spec.Workload,
-				Key:            cell.spec.Key(),
+				Workload:       cell.workload,
+				Key:            cell.key,
 				IPC:            res.IPC,
 				Cycles:         res.Cycles,
 				Retired:        res.Retired,
