@@ -26,14 +26,13 @@
 //	GET /v1/trace/{id} collated cross-node span tree for one request ID
 //	GET /metrics       gateway counters + per-node families ({node=...})
 //	GET /debug/spans   the gateway's own recent spans (?trace= filters)
-//	GET /debug/flight  flight recorder: recent spans + proxy events
 //
 // The gateway is where a distributed trace is born: it pins the
 // X-Request-ID (minting one when the caller did not), opens a root span
 // per request plus one child span per backend attempt — so failover
 // walks and Retry-After backoffs are visible retries — and forwards the
-// span context via X-Trace-Parent. SIGQUIT dumps the flight recorder
-// to -flight-dir without stopping the gateway.
+// span context via X-Trace-Parent. SIGQUIT dumps the span ring to
+// -flight-dir without stopping the gateway.
 package main
 
 import (
@@ -45,11 +44,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"tcsim/internal/cluster"
+	"tcsim/internal/obs"
 )
 
 func main() {
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drainWait     = fs.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
 		logFormat     = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel      = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		flightDir     = fs.String("flight-dir", "", "directory for SIGQUIT flight-recorder dumps (\"\" = working directory)")
+		flightDir     = fs.String("flight-dir", "", "directory for SIGQUIT flight dumps of the recent-span ring (\"\" = working directory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tcgate: unexpected arguments %q\nrun 'tcgate -h' for usage\n", fs.Args())
 		return 2
 	}
-	logger, err := newLogger(stderr, *logFormat, *logLevel)
+	logger, err := obs.NewLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(stderr, "tcgate: %v\nrun 'tcgate -h' for usage\n", err)
 		return 2
@@ -117,16 +118,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger.Info("listening", "url", "http://"+ln.Addr().String(), "nodes", len(nodes))
 	fmt.Fprintf(stdout, "tcgate: listening on http://%s (%d nodes)\n", ln.Addr(), len(nodes))
 
-	// SIGQUIT dumps the flight recorder without stopping the gateway.
+	// SIGQUIT dumps the span ring without stopping the gateway.
 	quitCh := make(chan os.Signal, 1)
 	signal.Notify(quitCh, syscall.SIGQUIT)
 	defer signal.Stop(quitCh)
 	go func() {
 		for range quitCh {
-			if path, err := g.Flight().DumpToDir(*flightDir); err != nil {
+			if path, err := g.Spanner().WriteDump(*flightDir, strconv.FormatInt(time.Now().UnixNano(), 10)); err != nil {
 				logger.Error("flight dump failed", "error", err.Error())
 			} else {
-				logger.Info("flight recorder dumped", "path", path, "trigger", "SIGQUIT")
+				logger.Info("flight dump written", "path", path, "trigger", "SIGQUIT")
 			}
 		}
 	}()

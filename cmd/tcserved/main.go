@@ -21,12 +21,11 @@
 //	GET  /healthz/ready      readiness (503 once draining starts)
 //	GET  /metrics            Prometheus text-format exposition (the only metrics view)
 //	GET  /debug/spans        recent request spans (?trace=<request-id> filters)
-//	GET  /debug/flight       flight recorder: recent spans + job-lifecycle events
 //	GET  /debug/trace/{id}   merged Chrome trace for a job: spans over cycles
 //
 // Requests carrying X-Trace-Parent (the gateway sets it) contribute
 // their spans to the distributed trace named by the request ID; SIGQUIT
-// dumps the flight recorder to -flight-dir without stopping the daemon.
+// dumps the span ring to -flight-dir without stopping the daemon.
 //
 // In a cluster (see cmd/tcgate), -cdn points the node at the gateway's
 // trace CDN: a capture miss first asks the cluster for the workload's
@@ -47,11 +46,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
 	"tcsim"
 	"tcsim/internal/cluster"
+	"tcsim/internal/obs"
 	"tcsim/internal/prof"
 	"tcsim/internal/server"
 )
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		traceDir   = fs.String("tracedir", "", "directory for persisted workload traces: warm restarts load captures from disk instead of re-emulating (invalid/stale files are rejected and re-captured)")
 		cdnURL     = fs.String("cdn", "", "cluster gateway base URL: capture misses fetch the trace from peers through GET {cdn}/v1/traces/{sha} before emulating (fetched bodies are fail-closed validated)")
-		flightDir  = fs.String("flight-dir", "", "directory for flight-recorder dumps: SIGQUIT and 5xx responses write the recent-span/event buffer there (\"\" = SIGQUIT dumps to the working directory; 5xx dumps off)")
+		flightDir  = fs.String("flight-dir", "", "directory for flight dumps: SIGQUIT and 5xx responses write the recent-span ring there (\"\" = SIGQUIT dumps to the working directory; 5xx dumps off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tcserved: unexpected arguments %q\nrun 'tcserved -h' for usage\n", fs.Args())
 		return 2
 	}
-	logger, err := newLogger(stderr, *logFormat, *logLevel)
+	logger, err := obs.NewLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(stderr, "tcserved: %v\nrun 'tcserved -h' for usage\n", err)
 		return 2
@@ -143,32 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// newLogger builds the daemon's structured logger from the -log-format
-// and -log-level flags.
-func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (valid: debug, info, warn, error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	}
-	return nil, fmt.Errorf("unknown -log-format %q (valid: text, json)", format)
-}
-
 // serve runs the daemon until SIGTERM/SIGINT, then drains gracefully:
 // the listener stops accepting, in-flight requests and admitted async
 // jobs finish (up to the drain deadline), then the process exits.
@@ -189,18 +164,18 @@ func serve(stdout, stderr io.Writer, logger *slog.Logger, scfg server.Config, ad
 	logger.Info("listening", "url", "http://"+ln.Addr().String(), "pprof", pprofOn)
 	fmt.Fprintf(stdout, "tcserved: listening on http://%s\n", ln.Addr())
 
-	// SIGQUIT dumps the flight recorder without stopping the daemon: a
-	// wedged or misbehaving process preserves its recent spans and job
-	// events for offline inspection, then keeps serving.
+	// SIGQUIT dumps the span ring without stopping the daemon: a wedged
+	// or misbehaving process preserves its recent spans for offline
+	// inspection, then keeps serving.
 	quitCh := make(chan os.Signal, 1)
 	signal.Notify(quitCh, syscall.SIGQUIT)
 	defer signal.Stop(quitCh)
 	go func() {
 		for range quitCh {
-			if path, err := srv.Flight().DumpToDir(flightDir); err != nil {
+			if path, err := srv.Spanner().WriteDump(flightDir, strconv.FormatInt(time.Now().UnixNano(), 10)); err != nil {
 				logger.Error("flight dump failed", "error", err.Error())
 			} else {
-				logger.Info("flight recorder dumped", "path", path, "trigger", "SIGQUIT")
+				logger.Info("flight dump written", "path", path, "trigger", "SIGQUIT")
 			}
 		}
 	}()

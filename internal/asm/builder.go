@@ -240,6 +240,10 @@ func (b *Builder) La(rd isa.Reg, label string) {
 // Space reserves n zero bytes in the data section and returns their address.
 func (b *Builder) Space(n int) uint32 {
 	addr := b.Here()
+	if n < 0 || n > maxData-len(b.data) {
+		b.errorf("asm: Space(%d): the data section would exceed %d bytes", n, maxData)
+		return addr
+	}
 	b.data = append(b.data, make([]byte, n)...)
 	return addr
 }
@@ -270,9 +274,7 @@ func (b *Builder) Align(n int) {
 		b.errorf("asm: Align(%d): not a power of two", n)
 		return
 	}
-	for len(b.data)%n != 0 {
-		b.data = append(b.data, 0)
-	}
+	b.Space(-len(b.data) & (n - 1))
 }
 
 // Assemble resolves all label references and produces the linked program.

@@ -21,6 +21,11 @@ const (
 	StackTop uint32 = 0x7FFFF000
 )
 
+// maxData bounds the data section, so a .space or .align in source
+// text cannot make the assembler allocate gigabytes (or panic on a
+// size no slice can have). The bundled workloads use under 20 KiB.
+const maxData = 16 << 20
+
 // Program is a fully linked TCR executable image.
 type Program struct {
 	Entry    uint32            // initial PC

@@ -25,7 +25,7 @@ func (g *Gateway) handleCollectTrace(w http.ResponseWriter, r *http.Request) {
 			"trace ID must be a sanitized request ID", 0)
 		return
 	}
-	local := g.flight.Spans().ByTrace(rid)
+	local := g.spans.Dump(rid).Spans
 	all := append([]obs.Span(nil), local...)
 	for _, i := range g.nodesTouched(local) {
 		spans, err := g.scrapeSpans(r, i, rid)
@@ -83,27 +83,4 @@ func (g *Gateway) scrapeSpans(r *http.Request, i int, rid string) ([]obs.Span, e
 		return nil, fmt.Errorf("cluster: decode spans from %s: %w", g.nodes[i].Name, err)
 	}
 	return dump.Spans, nil
-}
-
-// handleDebugSpans implements GET /debug/spans on the gateway itself,
-// the same wire shape the nodes serve (and the collation scrapes).
-func (g *Gateway) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
-	ring := g.flight.Spans()
-	dump := obs.SpanDump{Service: g.flight.Service(), Dropped: ring.Dropped()}
-	if trace := obs.SanitizeID(r.URL.Query().Get("trace")); trace != "" {
-		dump.Spans = ring.ByTrace(trace)
-	} else {
-		dump.Spans = ring.Snapshot()
-	}
-	if dump.Spans == nil {
-		dump.Spans = []obs.Span{}
-	}
-	writeJSON(w, http.StatusOK, dump)
-}
-
-// handleDebugFlight implements GET /debug/flight on the gateway.
-func (g *Gateway) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	g.flight.WriteJSON(w)
 }

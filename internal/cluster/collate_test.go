@@ -171,8 +171,9 @@ func TestGatewayDebugSpans(t *testing.T) {
 	_, gts, _ := testCluster(t, 2)
 	cl := client.New(gts.URL)
 	rid := "gw-debug-rid"
-	if _, err := cl.SubmitJob(client.WithRequestID(context.Background(), rid),
-		&client.JobRequest{Workload: "li", Insts: testInsts}); err != nil {
+	job, err := cl.SubmitJob(client.WithRequestID(context.Background(), rid),
+		&client.JobRequest{Workload: "li", Insts: testInsts})
+	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
 
@@ -191,22 +192,16 @@ func TestGatewayDebugSpans(t *testing.T) {
 	if len(dump.Spans) < 2 { // root + at least one attempt
 		t.Fatalf("gateway recorded %d spans for the trace, want >= 2", len(dump.Spans))
 	}
+	var root obs.Span
 	for _, s := range dump.Spans {
 		if s.TraceID != rid {
 			t.Errorf("?trace= filter leaked span of trace %q", s.TraceID)
 		}
+		if s.ParentID == "" {
+			root = s
+		}
 	}
-
-	var flight obs.FlightDump
-	fresp, err := http.Get(gts.URL + "/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresp.Body.Close()
-	if err := json.NewDecoder(fresp.Body).Decode(&flight); err != nil {
-		t.Fatalf("decode gateway flight dump: %v", err)
-	}
-	if flight.Service != "tcgate" || len(flight.Spans) == 0 {
-		t.Errorf("gateway flight dump = service %q, %d spans", flight.Service, len(flight.Spans))
+	if root.Attrs["job"] != job.ID || root.Attrs["node"] == "" {
+		t.Errorf("root span attrs %v, want the proxied job %q and its node", root.Attrs, job.ID)
 	}
 }

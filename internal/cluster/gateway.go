@@ -85,8 +85,7 @@ type Gateway struct {
 	mux          *http.ServeMux
 	log          *slog.Logger
 	met          *gwMetrics
-	flight       *obs.FlightRecorder
-	spans        *obs.Spanner
+	spans        *obs.Spanner // the process's span starter and its one span ring
 	draining     atomic.Bool
 
 	probeCancel context.CancelFunc
@@ -134,23 +133,23 @@ func New(cfg Config) (*Gateway, error) {
 		httpc = &http.Client{}
 	}
 
-	flight := obs.NewFlightRecorder("tcgate", 0, 0)
 	g := &Gateway{
-		cfg:    cfg,
-		nodes:  cfg.Nodes,
-		ring:   NewRing(names, cfg.Replicas),
-		httpc:  httpc,
-		log:    log,
-		met:    &gwMetrics{start: time.Now()},
-		flight: flight,
-		spans:  flight.Spanner(),
+		cfg:   cfg,
+		nodes: cfg.Nodes,
+		ring:  NewRing(names, cfg.Replicas),
+		httpc: httpc,
+		log:   log,
+		met:   &gwMetrics{start: time.Now()},
+		spans: obs.NewSpanner("tcgate", obs.NewSpanRing(0)),
 	}
 	for _, n := range cfg.Nodes {
 		retry := cfg.Retry
 		node := n.Name
+		// OnRetry gets no request context, so this line cannot carry
+		// the trace ID the other proxy lines do.
 		retry.OnRetry = func(attempt int, err error, d time.Duration) {
 			g.met.retries.Add(1)
-			g.flight.Notef("retry node=%s attempt=%d backoff=%v err=%v", node, attempt, d, err)
+			g.log.Warn("retry", "node", node, "attempt", attempt, "backoff", d, "error", err.Error())
 		}
 		g.clients = append(g.clients, client.New(n.URL).WithHTTPClient(httpc).WithRetry(retry))
 		g.probeClients = append(g.probeClients, client.New(n.URL).WithHTTPClient(httpc))
@@ -170,8 +169,7 @@ func New(cfg Config) (*Gateway, error) {
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /healthz/ready", g.handleReady)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	mux.HandleFunc("GET /debug/spans", g.handleDebugSpans)
-	mux.HandleFunc("GET /debug/flight", g.handleDebugFlight)
+	mux.HandleFunc("GET /debug/spans", server.DebugSpans(g.spans))
 	g.mux = mux
 	return g, nil
 }
@@ -210,8 +208,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Flight exposes the gateway's flight recorder (SIGQUIT dumps).
-func (g *Gateway) Flight() *obs.FlightRecorder { return g.flight }
+// Spanner exposes the gateway's span starter and ring (SIGQUIT dumps).
+func (g *Gateway) Spanner() *obs.Spanner { return g.spans }
 
 // Healthy counts currently routable nodes.
 func (g *Gateway) Healthy() int {
@@ -447,7 +445,6 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		g.met.jobsErr.Add(1)
-		g.flight.Notef("job proxy failed request_id=%s key=%s err=%v", rid, key, err)
 		g.log.Warn("job proxy failed", "trace_id", rid, "request_id", rid,
 			"span_id", root.ID(), "key", key, "error", err.Error())
 		root.SetError(err)
@@ -457,10 +454,10 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	g.met.jobsOK.Add(1)
 	job.ID = prefixID(idx, job.ID)
-	g.flight.Notef("job proxied request_id=%s key=%s node=%s job=%s", rid, key, g.nodes[idx].Name, job.ID)
 	g.log.Info("job proxied", "trace_id", rid, "request_id", rid, "span_id", root.ID(),
 		"key", key, "node", g.nodes[idx].Name, "job_id", job.ID)
 	root.SetAttr("node", g.nodes[idx].Name)
+	root.SetAttr("job", job.ID)
 	root.SetAttr("outcome", "ok")
 	// Commit the root before the body goes out: a client that reads the
 	// response and immediately collates GET /v1/trace/{rid} must find it.

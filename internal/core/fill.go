@@ -408,10 +408,6 @@ func (f *FillUnit) Drain(cycle uint64) []*trace.Segment {
 	return out
 }
 
-// Pending reports how many segments are waiting in the fill pipeline
-// (test hook).
-func (f *FillUnit) Pending() int { return len(f.pipe) - f.pipeHead }
-
 // Flush finalizes any partial segment (end of simulation) and returns
 // every queued segment regardless of latency. Like Drain, the returned
 // slice is reused by subsequent calls.
@@ -442,14 +438,4 @@ func CheckInvariants(seg *trace.Segment) {
 	if err := seg.Validate(); err != nil {
 		panic(fmt.Sprintf("fill unit invariant violation: %v (%v)", err, seg))
 	}
-}
-
-// ArmedDebug exposes the armed miss addresses in FIFO order (debug/test
-// hook; allocates).
-func (f *FillUnit) ArmedDebug() []uint32 {
-	var out []uint32
-	for n := f.armed.head; n >= 0; n = f.armed.next[n] {
-		out = append(out, f.armed.pc[n])
-	}
-	return out
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -17,7 +20,7 @@ import (
 // causal root. Spans are wall-clock, service-labeled, and land in a
 // bounded in-process ring (SpanRing); nothing leaves the process until
 // something asks — GET /debug/spans, the gateway's /v1/trace collation,
-// or a flight-recorder dump.
+// or a dump file (WriteDump).
 //
 // Everything here is nil-safe by design: a nil *Spanner starts nil
 // *Spans, and every method on a nil *Span is a no-op, so code threaded
@@ -287,7 +290,7 @@ func (sp *Spanner) Event(ctx context.Context, name string, attrs ...string) {
 const DefaultSpanRingCap = 4096
 
 // SpanRing is a bounded, concurrency-safe ring of finished spans: the
-// storage behind a process's /debug/spans and flight recorder. Commit
+// storage behind a process's /debug/spans and its dump files. Commit
 // is a mutex plus a copy into a preallocated slot — cheap enough to
 // leave always-on in the serving layer. Oldest spans drop first.
 type SpanRing struct {
@@ -377,12 +380,51 @@ func (r *SpanRing) filter(keep func(*Span) bool) []Span {
 	return out
 }
 
-// SpanDump is the GET /debug/spans wire shape, shared by nodes and the
-// gateway (the gateway's collation decodes exactly this).
+// SpanDump is the one view of a span ring: the GET /debug/spans wire
+// shape on nodes and the gateway (the gateway's collation decodes
+// exactly this) and the format of the files WriteDump writes.
 type SpanDump struct {
 	Service string `json:"service"`
 	Spans   []Span `json:"spans"`
 	Dropped uint64 `json:"dropped,omitempty"`
+}
+
+// Dump snapshots the spanner's ring, oldest span first: every resident
+// span, or only those of trace when it is non-empty.
+func (sp *Spanner) Dump(trace string) SpanDump {
+	d := SpanDump{Service: sp.service, Dropped: sp.ring.Dropped()}
+	if trace != "" {
+		d.Spans = sp.ring.ByTrace(trace)
+	} else {
+		d.Spans = sp.ring.Snapshot()
+	}
+	return d
+}
+
+// WriteDump writes the whole ring as indented SpanDump JSON to
+// dir/flight-<service>-<tag>.json, overwriting any file of that name,
+// and returns the path. dir is created if missing ("" is the working
+// directory); <service> is the service name through SanitizeID, or
+// "unknown" when SanitizeID rejects it, so a name never escapes dir.
+func (sp *Spanner) WriteDump(dir, tag string) (string, error) {
+	service := SanitizeID(sp.service)
+	if service == "" {
+		service = "unknown"
+	}
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return "", err
+		}
+	}
+	b, err := json.MarshalIndent(sp.Dump(""), "", "  ")
+	if err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, "flight-"+service+"-"+tag+".json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		return "", err
+	}
+	return path, nil
 }
 
 // --- span trees ---

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -70,12 +72,6 @@ func TestNilSpanSafety(t *testing.T) {
 	span.Finish()
 	if span.ID() != "" {
 		t.Fatalf("nil span ID = %q", span.ID())
-	}
-
-	var fr *FlightRecorder
-	fr.Notef("x %d", 1)
-	if fr.Spanner() != nil || fr.Spans() != nil || fr.Service() != "" || fr.Events() != nil {
-		t.Fatal("nil FlightRecorder leaked non-zero accessors")
 	}
 
 	// StartSpan with no active span is also a no-op chain.
@@ -240,62 +236,36 @@ func TestBuildSpanTreeConnectivity(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderEventsAndDump(t *testing.T) {
-	fr := NewFlightRecorder("tcserved", 8, 4)
-	ctx, s := fr.Spanner().StartRemote(context.Background(), "req-f", "", "serve")
-	_ = ctx
+// TestSpanWriteDump: WriteDump writes the ring as a SpanDump, names
+// the file from the sanitized service, and overwrites a fixed name.
+func TestSpanWriteDump(t *testing.T) {
+	sp := NewSpanner("with:bad/name", NewSpanRing(4))
+	_, s := sp.StartRemote(context.Background(), "req-f", "", "serve")
 	s.Finish()
-	for i := 0; i < 6; i++ {
-		fr.Notef("event %d", i)
-	}
-	evs := fr.Events()
-	if len(evs) != 4 || evs[0].Msg != "event 2" || evs[3].Msg != "event 5" {
-		t.Fatalf("events = %+v", evs)
-	}
-
-	d := fr.Dump()
-	if d.Service != "tcserved" || len(d.Spans) != 1 || len(d.Events) != 4 || d.DroppedEvents != 2 {
-		t.Fatalf("dump = service=%q spans=%d events=%d droppedEvents=%d",
-			d.Service, len(d.Spans), len(d.Events), d.DroppedEvents)
-	}
-
-	// The dump must round-trip through JSON with the wire field names.
-	var sb strings.Builder
-	if err := fr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var back FlightDump
-	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
-		t.Fatalf("flight dump JSON round-trip: %v", err)
-	}
-	if back.Service != "tcserved" || len(back.Spans) != 1 || back.Spans[0].TraceID != "req-f" {
-		t.Fatalf("round-tripped dump = %+v", back)
-	}
-	if back.Events[0].Msg != "event 2" {
-		t.Fatalf("round-tripped events = %+v", back.Events)
-	}
-}
-
-func TestFlightDumpToDir(t *testing.T) {
-	fr := NewFlightRecorder("with:bad/name", 4, 4)
-	fr.Notef("hello")
 	dir := t.TempDir()
-	path, err := fr.DumpToDir(dir)
+	path, err := sp.WriteDump(dir, "123")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(path, "flight-unknown-") {
+	if filepath.Base(path) != "flight-unknown-123.json" {
 		t.Fatalf("unsanitizable service leaked into the file name: %s", path)
 	}
-	fixed, err := fr.DumpToFile(dir, "flight-last5xx.json")
-	if err != nil {
+	var back SpanDump
+	if b, err := os.ReadFile(path); err != nil {
 		t.Fatal(err)
+	} else if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("span dump JSON round-trip: %v", err)
+	}
+	if back.Service != "with:bad/name" || len(back.Spans) != 1 || back.Spans[0].TraceID != "req-f" {
+		t.Fatalf("round-tripped dump = %+v", back)
 	}
 	// Overwrite semantics: a second dump to the same name must not error.
-	if _, err := fr.DumpToFile(dir, "flight-last5xx.json"); err != nil {
-		t.Fatalf("overwriting fixed-name dump: %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := NewSpanner("node-a", NewSpanRing(4)).WriteDump(dir, "last5xx"); err != nil {
+			t.Fatalf("dump %d to a fixed name: %v", i, err)
+		}
 	}
-	if !strings.HasSuffix(fixed, "flight-last5xx.json") {
-		t.Fatalf("fixed-name path = %s", fixed)
+	if _, err := os.Stat(filepath.Join(dir, "flight-node-a-last5xx.json")); err != nil {
+		t.Fatalf("fixed-name dump: %v", err)
 	}
 }

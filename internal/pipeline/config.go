@@ -36,8 +36,6 @@ type Config struct {
 	Pred   bpred.Config
 	TCache trace.CacheConfig
 
-	FetchWidth  int // instructions fetched per cycle; paper: 16
-	RetireWidth int // instructions retired per cycle
 	Checkpoints int // in-flight checkpoint capacity
 
 	// UseTraceCache disables the trace cache path entirely when false
@@ -149,8 +147,6 @@ func DefaultConfig() Config {
 		Cache:         cache.DefaultParams(),
 		Pred:          bpred.DefaultConfig(),
 		TCache:        trace.DefaultCacheConfig(),
-		FetchWidth:    16,
-		RetireWidth:   16,
 		Checkpoints:   64,
 		UseTraceCache: true,
 		InactiveIssue: true,
@@ -158,9 +154,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// FUs is every machine's functional-unit count. The model maps fetch
-// slot i to functional unit i (DESIGN §4), so it equals the fetch width.
-const FUs = trace.MaxInsts
+const (
+	// FUs is every machine's functional-unit count. The model maps
+	// fetch slot i to functional unit i (DESIGN §4), so it equals the
+	// fetch width.
+	FUs = trace.MaxInsts
+	// FetchWidth is the instructions fetched per cycle (paper: 16).
+	FetchWidth = FUs
+	// RetireWidth is the instructions retired per cycle.
+	RetireWidth = 16
+)
 
 // ValidateGeometry checks a cluster organization: clusters ×
 // fusPerCluster must be exactly FUs. Each factor is checked against
@@ -176,15 +179,6 @@ func ValidateGeometry(clusters, fusPerCluster int) error {
 
 func (c Config) normalize() Config {
 	d := DefaultConfig()
-	if c.FetchWidth <= 0 {
-		c.FetchWidth = d.FetchWidth
-	}
-	if c.FetchWidth > trace.MaxInsts {
-		c.FetchWidth = trace.MaxInsts
-	}
-	if c.RetireWidth <= 0 {
-		c.RetireWidth = d.RetireWidth
-	}
 	if c.Checkpoints <= 0 {
 		c.Checkpoints = d.Checkpoints
 	}
@@ -201,12 +195,11 @@ func (c Config) normalize() Config {
 // path) and lower-bounds the slack a captured trace must carry past its
 // retirement budget.
 func MaxOracleLead(c Config) int {
-	c = c.normalize()
 	window := c.Exec.WindowSize
 	if window <= 0 {
 		window = exec.DefaultConfig().WindowSize
 	}
-	return window + 2*trace.MaxInsts + c.FetchWidth
+	return window + 2*trace.MaxInsts + FetchWidth
 }
 
 // Stats is everything the experiment harness reads out of one run.

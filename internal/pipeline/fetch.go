@@ -324,7 +324,7 @@ func (s *Simulator) buildICGroup(pc uint32, c uint64) *fetchGroup {
 	cond := 0
 	next := pc
 
-	for len(g.uops) < s.cfg.FetchWidth {
+	for len(g.uops) < FetchWidth {
 		line := next &^ uint32(s.hier.L1I.LineBytes()-1)
 		if line != lastLine {
 			if lat := s.hier.InstFetch(next); lat > extraLat {

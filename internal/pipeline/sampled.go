@@ -364,7 +364,7 @@ func (s *Simulator) FastForward(target uint64) error {
 		} else if op.IsSerializing() {
 			groupLen, cond = 0, 0
 		}
-		if groupLen >= s.cfg.FetchWidth {
+		if groupLen >= FetchWidth {
 			groupLen, cond = 0, 0
 		}
 		seq++

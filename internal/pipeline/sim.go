@@ -770,7 +770,7 @@ func (s *Simulator) doRetire(c uint64) {
 		}
 
 		n++
-		if n >= s.cfg.RetireWidth {
+		if n >= RetireWidth {
 			return
 		}
 	}

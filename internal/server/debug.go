@@ -7,32 +7,17 @@ import (
 	"tcsim/internal/obs"
 )
 
-// Debug endpoints: the span/flight views of this process. These serve
-// raw local state — the cross-node collation lives on the gateway
+// Debug endpoints: the span views of this process. These serve raw
+// local state — the cross-node collation lives on the gateway
 // (GET /v1/trace/{request-id}), which scrapes /debug/spans here.
 
-// handleDebugSpans implements GET /debug/spans: the span ring as JSON,
-// optionally filtered to one trace with ?trace=<request-id>.
-func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
-	ring := s.flight.Spans()
-	dump := obs.SpanDump{Service: s.flight.Service(), Dropped: ring.Dropped()}
-	if trace := obs.SanitizeID(r.URL.Query().Get("trace")); trace != "" {
-		dump.Spans = ring.ByTrace(trace)
-	} else {
-		dump.Spans = ring.Snapshot()
+// DebugSpans serves GET /debug/spans on tcserved and tcgate alike: sp's
+// ring as an obs.SpanDump, filtered to one trace with
+// ?trace=<request-id>.
+func DebugSpans(sp *obs.Spanner) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, sp.Dump(obs.SanitizeID(r.URL.Query().Get("trace"))))
 	}
-	if dump.Spans == nil {
-		dump.Spans = []obs.Span{}
-	}
-	writeJSON(w, http.StatusOK, dump)
-}
-
-// handleDebugFlight implements GET /debug/flight: the flight recorder's
-// current contents (recent spans + job-lifecycle events).
-func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	s.flight.WriteJSON(w)
 }
 
 // handleDebugTrace implements GET /debug/trace/{job-id}: a merged
@@ -55,7 +40,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		tl = j.res.Timeline
 	}
 	j.mu.Unlock()
-	spans := s.flight.Spans().ByTrace(rid)
+	spans := s.spans.Dump(rid).Spans
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	obs.WriteMergedChromeTrace(w, spans, tl)

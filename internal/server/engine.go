@@ -220,8 +220,8 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 			wsp.Finish()
 			if isCancel(f.err) {
 				// The owner was cancelled before producing an answer for
-				// this key; race to become the new owner.
-				e.forget(key, f)
+				// this key (and already forgot the flight); race to
+				// become the new owner.
 				continue
 			}
 			e.met.joins.Add(1)
@@ -234,10 +234,14 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 		e.met.misses.Add(1)
 		e.spans.Event(ctx, "cache-lookup", "outcome", "miss", "key", shortKey(key))
 		f.res, f.err = e.simulate(ctx, r)
-		if isCancel(f.err) {
-			e.forget(key, f)
-		} else if f.err == nil {
+		// A finished flight leaves the map either way: a result moves
+		// into the cache, a failure is forgotten (joiners already hold
+		// f and read its error), so failing keys cannot grow flights
+		// past the cache bound.
+		if f.err == nil {
 			e.insert(key, f.res)
+		} else {
+			e.forget(key, f)
 		}
 		close(f.done)
 		return f.res, false, f.err
@@ -245,8 +249,8 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 }
 
 // isCancel reports errors that carry no information about the config
-// itself — the run was merely interrupted — so the key must not be
-// poisoned with them.
+// itself — the run was merely interrupted — so a joiner retries rather
+// than taking the owner's error as its own.
 func isCancel(err error) bool {
 	return err != nil && (errors.Is(err, tcsim.ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -281,9 +285,11 @@ func (e *Engine) insert(key string, res tcsim.Result) {
 // simulate waits for a worker slot (a visible queue-wait span), then
 // runs the simulation under the job's timeout in a "run" span carrying
 // the workload, the capture/replay phase the trace store stamps on it,
-// and a per-pass summary folded from the run's counters. The worker
-// goroutine carries pprof labels so CPU profiles attribute simulation
-// time per job instead of one anonymous blob.
+// and a per-pass summary folded from the run's counters. A panicking
+// simulation becomes the run's error, so its slot, gauges and flight
+// are released like any failure's. The worker goroutine carries pprof
+// labels so CPU profiles attribute simulation time per job instead of
+// one anonymous blob.
 func (e *Engine) simulate(ctx context.Context, r resolved) (tcsim.Result, error) {
 	wait0 := time.Now()
 	_, qsp := e.spans.Start(ctx, "queue-wait")
@@ -322,6 +328,11 @@ func (e *Engine) simulate(ctx context.Context, r resolved) (tcsim.Result, error)
 	var err error
 	pprof.Do(rctx, pprof.Labels("workload", r.workload, "job_key", shortKey(r.key)),
 		func(ctx context.Context) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("server: simulation panicked: %v", p)
+				}
+			}()
 			res, err = e.runSim(ctx, r.cfg, r.workload)
 		})
 	wall := time.Since(t0)

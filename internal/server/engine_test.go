@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +21,8 @@ type fakeSim struct {
 	mu      sync.Mutex
 	started int
 	release chan struct{} // nil = return immediately
+	err     error         // non-nil: every run fails with it
+	panics  bool          // every run panics
 }
 
 func (f *fakeSim) install(e *Engine) {
@@ -32,6 +36,12 @@ func (f *fakeSim) install(e *Engine) {
 			case <-ctx.Done():
 				return tcsim.Result{}, ctx.Err()
 			}
+		}
+		if f.panics {
+			panic("fake simulator fault")
+		}
+		if f.err != nil {
+			return tcsim.Result{}, f.err
 		}
 		// A result derived from the inputs so distinct configs are
 		// distinguishable in assertions.
@@ -254,6 +264,49 @@ func TestEngineTimeout(t *testing.T) {
 	e.mu.Unlock()
 	if stuck {
 		t.Error("cancelled flight left registered")
+	}
+}
+
+// TestEnginePanicFailsTheRun: a panicking simulation is its run's error
+// and releases its key, slot and gauges, so a repeat of the key runs
+// again instead of waiting on a flight that never closes.
+func TestEnginePanicFailsTheRun(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 1})
+	fake := &fakeSim{panics: true}
+	fake.install(e)
+	spec := testJob(t, "m88ksim", 1000)
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		_, _, err := e.Run(ctx, spec)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "fake simulator fault") {
+			t.Fatalf("run %d: %v, want the panic as the error", i, err)
+		}
+	}
+	if n := fake.startedCount(); n != 2 {
+		t.Errorf("%d simulations started, want 2 (a failure is not cached)", n)
+	}
+	if n := e.met.inflight.Load(); n != 0 {
+		t.Errorf("inflight gauge = %d after both runs, want 0", n)
+	}
+}
+
+// TestEngineFailedRunsLeaveNoFlights: a failed run leaves the flight map
+// as a cancelled one does, so failing keys cannot grow it past the
+// cache bound.
+func TestEngineFailedRunsLeaveNoFlights(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 1, CacheEntries: 8})
+	(&fakeSim{err: errors.New("max cycles exceeded")}).install(e)
+	for i := 1; i <= 100; i++ {
+		if _, _, err := e.Run(context.Background(), testJob(t, "m88ksim", uint64(i))); err == nil {
+			t.Fatalf("failing run %d succeeded", i)
+		}
+	}
+	e.mu.Lock()
+	n := len(e.flights)
+	e.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d flight cells left after 100 failed runs, want 0", n)
 	}
 }
 

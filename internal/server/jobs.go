@@ -139,11 +139,5 @@ func (s *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-func (s *jobStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
 // close stops the janitor.
 func (s *jobStore) close() { s.once.Do(func() { close(s.stop) }) }

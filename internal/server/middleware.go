@@ -72,9 +72,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // request context for handler and job-lifecycle log lines, opens a
 // serve span for API requests (parented under the caller's span when
 // X-Trace-Parent names one — the trace ID is the request ID), and
-// writes one structured access-log line per request. A 5xx additionally
-// notes the failure in the flight recorder and, when the server has a
-// flight directory, dumps the recorder so the context is preserved.
+// writes one structured access-log line per request. A 5xx, when the
+// server has a flight directory, dumps the span ring (the failing
+// request's serve span included) so the context is preserved.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := sanitizeRequestID(r.Header.Get(reqIDHeader))
@@ -111,7 +111,6 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		s.log.LogAttrs(r.Context(), logLevelFor(sw.status), "request", attrs...)
 		if sw.status >= 500 {
-			s.flight.Notef("5xx: %s %s status=%d request_id=%s", r.Method, r.URL.Path, sw.status, id)
 			s.dumpFlightOn5xx()
 		}
 	})

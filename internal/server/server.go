@@ -30,14 +30,14 @@ type Config struct {
 	// completed, failed, rejected), each carrying the request ID the
 	// response echoed in X-Request-ID. Nil discards everything.
 	Logger *slog.Logger
-	// Service names this process in spans and flight dumps ("" =
+	// Service names this process in spans and span dumps ("" =
 	// "tcserved"). Nodes booted in process behind a gateway set their
 	// node name here so a collated span tree shows which node served
 	// each attempt.
 	Service string
-	// FlightDir, when set, enables automatic flight-recorder dumps: a
-	// 5xx response overwrites flight-<service>-last5xx.json there.
-	// SIGQUIT dumps (wired in cmd/tcserved) land there too.
+	// FlightDir, when set, enables automatic span-ring dumps: a 5xx
+	// response overwrites flight-<service>-last5xx.json there. SIGQUIT
+	// dumps (wired in cmd/tcserved) land there too.
 	FlightDir string
 }
 
@@ -51,8 +51,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the observability middleware
 	log     *slog.Logger
-	flight  *obs.FlightRecorder
-	spans   *obs.Spanner // the flight recorder's span starter
+	spans   *obs.Spanner // the process's span starter and its one span ring
 
 	// baseCtx parents async job execution so Shutdown can cancel what
 	// the drain deadline abandons.
@@ -80,14 +79,12 @@ func New(cfg Config) *Server {
 	if service == "" {
 		service = "tcserved"
 	}
-	flight := obs.NewFlightRecorder(service, 0, 0)
 	s := &Server{
 		cfg:        cfg,
 		engine:     NewEngine(cfg.Engine),
 		jobs:       newJobStore(cfg.JobTTL),
 		log:        log,
-		flight:     flight,
-		spans:      flight.Spanner(),
+		spans:      obs.NewSpanner(service, obs.NewSpanRing(0)),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 	}
@@ -102,8 +99,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /debug/spans", s.handleDebugSpans)
-	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
+	mux.HandleFunc("GET /debug/spans", DebugSpans(s.spans))
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
 	s.mux = mux
 	s.handler = s.withObs(mux)
@@ -114,26 +110,22 @@ func New(cfg Config) *Server {
 // the request-ID / access-log middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Flight exposes the server's flight recorder (SIGQUIT dumps, tests).
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
+// Spanner exposes the server's span starter and ring (SIGQUIT dumps).
+func (s *Server) Spanner() *obs.Spanner { return s.spans }
 
-// dumpFlightOn5xx preserves the recorder's state after a server error.
-// It overwrites a fixed file name so a 5xx storm keeps the latest
-// context without growing the directory; no FlightDir means no dump.
+// dumpFlightOn5xx preserves the span ring after a server error. It
+// overwrites a fixed file name so a 5xx storm keeps the latest context
+// without growing the directory; no FlightDir means no dump.
 func (s *Server) dumpFlightOn5xx() {
 	if s.cfg.FlightDir == "" {
 		return
 	}
-	name := "flight-" + s.flight.Service() + "-last5xx.json"
-	if path, err := s.flight.DumpToFile(s.cfg.FlightDir, name); err != nil {
+	if path, err := s.spans.WriteDump(s.cfg.FlightDir, "last5xx"); err != nil {
 		s.log.Warn("flight dump failed", "error", err.Error())
 	} else {
-		s.log.Info("flight recorder dumped", "path", path, "trigger", "5xx")
+		s.log.Info("flight dump written", "path", path, "trigger", "5xx")
 	}
 }
-
-// JobCount reports how many async jobs the store currently holds.
-func (s *Server) JobCount() int { return s.jobs.len() }
 
 // BeginDrain flips readiness to 503 without refusing any work: jobs
 // already in flight and new submissions both still run. Call it first
@@ -141,9 +133,6 @@ func (s *Server) JobCount() int { return s.jobs.len() }
 // stop routing to this node while it is still fully serving; then close
 // the listener and call Shutdown. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether a graceful drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains the server: no new work is admitted, every admitted
 // job (sync and async) finishes or ctx expires, then background state
@@ -232,11 +221,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	serve := obs.SpanFrom(r.Context())
 	rj, err := resolveSpec(&req, s.engine.Limits())
 	if err != nil {
 		s.log.Warn("job rejected", "trace_id", rid, "request_id", rid,
-			"span_id", obs.SpanFrom(r.Context()).ID(), "error", err.Error())
-		s.flight.Notef("job rejected request_id=%s err=%v", rid, err)
+			"span_id", serve.ID(), "error", err.Error())
+		serve.SetError(err)
 		s.writeRunError(w, err)
 		return
 	}
@@ -252,9 +242,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j := s.jobs.create(key, rid)
 		j.finish(res, true, nil, 0, s.jobs.ttl)
 		s.log.Info("job cache hit", "trace_id", rid, "request_id", rid,
-			"span_id", obs.SpanFrom(r.Context()).ID(), "job_id", j.id,
+			"span_id", serve.ID(), "job_id", j.id,
 			"key", key, "workload", rj.workload)
-		s.flight.Notef("job cache hit request_id=%s job=%s key=%s", rid, j.id, key)
 		status := http.StatusOK
 		if async {
 			status = http.StatusAccepted
@@ -266,17 +255,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	release, err := s.engine.Admit()
 	if err != nil {
 		s.log.Warn("job rejected", "trace_id", rid, "request_id", rid,
-			"span_id", obs.SpanFrom(r.Context()).ID(), "key", key, "error", err.Error())
-		s.flight.Notef("job rejected request_id=%s key=%s err=%v", rid, key, err)
+			"span_id", serve.ID(), "key", key, "error", err.Error())
+		serve.SetError(err)
 		s.writeRunError(w, err)
 		return
 	}
 
 	j := s.jobs.create(key, rid)
 	s.log.Info("job accepted", "trace_id", rid, "request_id", rid,
-		"span_id", obs.SpanFrom(r.Context()).ID(), "job_id", j.id,
+		"span_id", serve.ID(), "job_id", j.id,
 		"key", key, "workload", rj.workload, "insts", rj.cfg.MaxInsts, "async", async)
-	s.flight.Notef("job accepted request_id=%s job=%s key=%s async=%v", rid, j.id, key, async)
+	serve.SetAttr("job", j.id)
+	serve.SetAttr("key", key)
 	if async {
 		// Detach the request's span identity onto the server's base
 		// context: the job's spans still parent under the submitting
@@ -314,7 +304,6 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 	}
 	s.log.Info("job started", "trace_id", rid, "request_id", rid, "span_id", sid,
 		"job_id", j.id, "key", j.key)
-	s.flight.Notef("job started request_id=%s job=%s key=%s", rid, j.id, j.key)
 	t0 := time.Now()
 	res, cached, err := s.engine.Run(ctx, rj)
 	wall := time.Since(t0)
@@ -323,14 +312,12 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 		s.engine.met.failed.Add(1)
 		s.log.Error("job failed", "trace_id", rid, "request_id", rid, "span_id", sid,
 			"job_id", j.id, "key", j.key, "wall", wall.Round(time.Microsecond), "error", err.Error())
-		s.flight.Notef("job failed request_id=%s job=%s key=%s err=%v", rid, j.id, j.key, err)
 		return err
 	}
 	s.engine.met.completed.Add(1)
 	s.log.Info("job completed", "trace_id", rid, "request_id", rid, "span_id", sid,
 		"job_id", j.id, "key", j.key,
 		"cached", cached, "wall", wall.Round(time.Microsecond), "ipc", res.IPC)
-	s.flight.Notef("job completed request_id=%s job=%s key=%s cached=%v", rid, j.id, j.key, cached)
 	return nil
 }
 

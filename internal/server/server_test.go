@@ -434,6 +434,26 @@ func TestSweepQueueDepth(t *testing.T) {
 	}
 }
 
+// TestAsyncPanicFailsTheJob: a simulation that panics on the async
+// path ends its job failed and leaves the daemon serving.
+func TestAsyncPanicFailsTheJob(t *testing.T) {
+	srv, cl := newTestServer(t, Config{})
+	(&fakeSim{panics: true}).install(srv.engine)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	job, err := cl.SubmitJobAsync(ctx, &client.JobRequest{Workload: "compress", Insts: testInsts})
+	if err != nil {
+		t.Fatalf("SubmitJobAsync: %v", err)
+	}
+	done, err := cl.WaitJob(ctx, job.ID, 0)
+	if err != nil || done.State != client.StateFailed || !strings.Contains(done.Error, "fake simulator fault") {
+		t.Fatalf("panicking async job = %+v, %v; want failed with the panic", done, err)
+	}
+	if err := cl.Health(ctx); err != nil {
+		t.Fatalf("daemon not serving after the panic: %v", err)
+	}
+}
+
 // TestPassesAndHealth covers the registry and liveness endpoints;
 // /v1/policies mirrors the replacement-policy registry exactly.
 func TestPassesAndHealth(t *testing.T) {

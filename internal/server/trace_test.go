@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,19 +15,22 @@ import (
 	"tcsim/internal/obs"
 )
 
-// waitSpans polls the server's span ring for a trace until at least n
-// spans landed: the middleware commits the serve span just after the
-// response is flushed, so the client can observe the response first.
-func waitSpans(t *testing.T, srv *Server, rid string, n int) []obs.Span {
+// waitSpans polls the server's span ring until a span of the trace
+// named name landed, and returns the trace's spans: the middleware
+// commits the serve span just after the response is flushed, so the
+// client can observe the response first.
+func waitSpans(t *testing.T, srv *Server, rid, name string) []obs.Span {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		spans := srv.Flight().Spans().ByTrace(rid)
-		if len(spans) >= n {
-			return spans
+		spans := srv.spans.Dump(rid).Spans
+		for _, s := range spans {
+			if s.Name == name {
+				return spans
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace %s has %d spans after 2s, want >= %d: %+v", rid, len(spans), n, spans)
+			t.Fatalf("trace %s has no %s span after 2s: %+v", rid, name, spans)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -50,7 +56,7 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 	}
 
 	// serve + queue-wait + run + cache-lookup(miss) at minimum.
-	spans := waitSpans(t, srv, rid, 4)
+	spans := waitSpans(t, srv, rid, "POST /v1/jobs")
 	byName := map[string]obs.Span{}
 	for _, s := range spans {
 		byName[s.Name] = s
@@ -104,7 +110,7 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 	if !job2.Cached {
 		t.Fatalf("repeat submit was not served from cache")
 	}
-	spans2 := waitSpans(t, srv, rid2, 2)
+	spans2 := waitSpans(t, srv, rid2, "POST /v1/jobs")
 	var hit bool
 	for _, s := range spans2 {
 		if s.Name == "cache-lookup" && s.Attrs["outcome"] == "hit" {
@@ -124,17 +130,19 @@ func names(spans []obs.Span) []string {
 	return out
 }
 
-// TestDebugSpansAndFlightEndpoints asserts the wire shapes of the two
-// debug views: /debug/spans (with and without ?trace=) and
-// /debug/flight with its job-lifecycle events.
+// TestDebugSpansAndFlightEndpoints asserts the wire shape of
+// /debug/spans (with and without ?trace=) and the job facts its serve
+// spans carry: the accepted job's ID and key, and a rejected
+// submission's error.
 func TestDebugSpansAndFlightEndpoints(t *testing.T) {
 	srv, cl := newTestServer(t, Config{})
 	rid := "debug-endpoints-rid"
 	ctx := client.WithRequestID(context.Background(), rid)
-	if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "compress", Insts: testInsts}); err != nil {
+	job, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "compress", Insts: testInsts})
+	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
-	waitSpans(t, srv, rid, 3)
+	waitSpans(t, srv, rid, "POST /v1/jobs")
 
 	getJSON := func(path string, into any) {
 		t.Helper()
@@ -163,6 +171,9 @@ func TestDebugSpansAndFlightEndpoints(t *testing.T) {
 		if s.TraceID != rid {
 			t.Errorf("?trace= filter leaked span of trace %q", s.TraceID)
 		}
+		if s.Name == "POST /v1/jobs" && (s.Attrs["job"] != job.ID || s.Attrs["key"] != job.Key) {
+			t.Errorf("serve span job/key = %q/%q, want %q/%q", s.Attrs["job"], s.Attrs["key"], job.ID, job.Key)
+		}
 	}
 	var all obs.SpanDump
 	getJSON("/debug/spans", &all)
@@ -170,23 +181,51 @@ func TestDebugSpansAndFlightEndpoints(t *testing.T) {
 		t.Errorf("unfiltered dump (%d) smaller than filtered (%d)", len(all.Spans), len(filtered.Spans))
 	}
 
-	var flight obs.FlightDump
-	getJSON("/debug/flight", &flight)
-	if flight.Service != "tcserved" || flight.DumpedAt.IsZero() {
-		t.Errorf("flight dump header = %q at %v", flight.Service, flight.DumpedAt)
+	// A rejected submission's serve span records the rejection.
+	bad := "debug-endpoints-rejected"
+	if _, err := cl.SubmitJob(client.WithRequestID(context.Background(), bad), &client.JobRequest{Workload: "nosuch"}); err == nil {
+		t.Fatal("unknown workload accepted")
 	}
-	wantEvents := map[string]bool{"accepted": false, "started": false, "completed": false}
-	for _, ev := range flight.Events {
-		for k := range wantEvents {
-			if strings.Contains(ev.Msg, "job "+k) {
-				wantEvents[k] = true
+	for _, s := range waitSpans(t, srv, bad, "POST /v1/jobs") {
+		if s.Name == "POST /v1/jobs" && (s.Attrs["status"] != "400" || !strings.Contains(s.Error, "nosuch")) {
+			t.Errorf("rejected serve span status %q error %q, want 400 and the rejection", s.Attrs["status"], s.Error)
+		}
+	}
+}
+
+// TestServerErrorDumpsSpans: with FlightDir set, a 5xx writes the span
+// ring to flight-<service>-last5xx.json, the failing request's serve
+// span included.
+func TestServerErrorDumpsSpans(t *testing.T) {
+	dir := t.TempDir()
+	srv, cl := newTestServer(t, Config{Service: "nodeA", FlightDir: dir})
+	(&fakeSim{err: errors.New("simulator fault")}).install(srv.engine)
+	rid := "dump-5xx-rid"
+	_, err := cl.SubmitJob(client.WithRequestID(context.Background(), rid),
+		&client.JobRequest{Workload: "compress", Insts: testInsts})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusInternalServerError {
+		t.Fatalf("failing job: %v, want a 500", err)
+	}
+	// The middleware dumps after the response went out: poll for it.
+	path := filepath.Join(dir, "flight-nodeA-last5xx.json")
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var dump obs.SpanDump
+		if b, err := os.ReadFile(path); err == nil && json.Unmarshal(b, &dump) == nil {
+			for _, s := range dump.Spans {
+				if s.TraceID == rid && s.Name == "POST /v1/jobs" {
+					if s.Attrs["status"] != "500" || s.Error == "" {
+						t.Errorf("dumped serve span status %q error %q, want 500 and an error", s.Attrs["status"], s.Error)
+					}
+					return
+				}
 			}
 		}
-	}
-	for k, seen := range wantEvents {
-		if !seen {
-			t.Errorf("flight recorder has no 'job %s' event: %+v", k, flight.Events)
+		if time.Now().After(deadline) {
+			t.Fatalf("no serve span of %s in %s after 2s", rid, path)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -201,7 +240,7 @@ func TestDebugTraceMergedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
-	waitSpans(t, srv, rid, 3)
+	waitSpans(t, srv, rid, "POST /v1/jobs")
 
 	resp, err := http.Get(cl.Base() + "/debug/trace/" + job.ID)
 	if err != nil {
@@ -272,7 +311,7 @@ func TestSweepCellSpans(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cells = cells[:0]
 		children = map[string]map[string]obs.Span{}
-		for _, s := range srv.Flight().Spans().ByTrace(rid) {
+		for _, s := range srv.spans.Dump(rid).Spans {
 			switch s.Name {
 			case "POST /v1/sweeps":
 				serveID = s.SpanID
