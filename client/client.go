@@ -188,11 +188,24 @@ func (c *Client) Policies(ctx context.Context) ([]Policy, error) {
 // `tcserved_cache_requests_total{result="hit"}`. The body must parse as
 // a valid exposition.
 func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
-	var raw []byte
-	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &raw); err != nil {
+	raw, err := c.Raw(ctx, http.MethodGet, "/metrics", nil)
+	if err != nil {
 		return nil, err
 	}
 	return obs.ParseExposition(raw)
+}
+
+// Raw issues one exchange as the typed calls do, with in (unless nil)
+// as the JSON request body and the same retries, request-ID and
+// trace-parent headers and *APIError mapping, and returns the 2xx
+// response body unparsed. The cluster gateway relays job responses
+// through it without decoding their results.
+func (c *Client) Raw(ctx context.Context, method, path string, in any) ([]byte, error) {
+	var raw []byte
+	if err := c.do(ctx, method, path, in, &raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // Health checks /healthz (liveness); nil means the process is up. A

@@ -271,6 +271,54 @@ func TestAssembleTextErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleTextRejectsWhatItCannotEncode: a number where a branch or
+// jump takes a label, and a .word or li value wider than 32 bits, are
+// errors that say so, not an undefined label or the value's low 32
+// bits.
+func TestAssembleTextRejectsWhatItCannotEncode(t *testing.T) {
+	for src, want := range map[string]string{
+		"beq t0, t1, 1":                      "beq target 1 is a number; beq takes a label",
+		"blez t0, -2":                        "blez target -2 is a number; blez takes a label",
+		"b 0x10":                             "b target 0x10 is a number; b takes a label",
+		"j 99999999999999999999":             "j target 99999999999999999999 is a number; j takes a label",
+		".data\n.word 4294967297":            ".word value 4294967297 out of range",
+		".data\n.word 1, -2147483649":        ".word value -2147483649 out of range",
+		"li t0, 4294967298":                  "li value 4294967298 out of range",
+		"li t0, 4294967296":                  "li value 4294967296 out of range",
+		"li t0, -2147483649":                 "li value -2147483649 out of range",
+		".data\n.word 0x7fffffffffffffff, 1": ".word value 9223372036854775807 out of range",
+	} {
+		_, err := AssembleText(src + "\nhalt\n")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want one containing %q", src, err, want)
+		}
+	}
+
+	// The edges of the range are words, signed or unsigned.
+	p, err := AssembleText(`
+.data
+w: .word -2147483648, 4294967295
+.text
+main:
+    li t0, -2147483648
+    li t1, 4294967295
+    halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Word32(0) != 0x80000000 || p.Word32(4) != 0xFFFFFFFF {
+		t.Errorf(".word edges stored %#x, %#x", p.Word32(0), p.Word32(4))
+	}
+	// li t0, -2^31 is lui t0, 0x8000 alone; li t1, -1 is one addi.
+	if in, _ := p.InstAt(p.Entry); in.Op != isa.LUI || in.Rt != isa.T0 || in.Imm != -0x8000 {
+		t.Errorf("li t0, -2147483648 assembled to %v", in)
+	}
+	if in, _ := p.InstAt(p.Entry + 4); in.Op != isa.ADDI || in.Rt != isa.T1 || in.Imm != -1 {
+		t.Errorf("li t1, 4294967295 assembled to %v", in)
+	}
+}
+
 func TestAssembleTextRoundTripThroughListing(t *testing.T) {
 	p, err := AssembleText(sampleSource)
 	if err != nil {

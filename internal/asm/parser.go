@@ -1,7 +1,9 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -15,7 +17,7 @@ import (
 //	.text                 switch to the text section (default)
 //	.data                 switch to the data section
 //	label:                define a label in the current section
-//	.word v, v, ...       emit 32-bit words (data section)
+//	.word v, v, ...       emit 32-bit words, -2^31..2^32-1 (data section)
 //	.byte v, v, ...       emit bytes (data section)
 //	.space n              reserve n zero bytes (data section)
 //	.align n              pad the data section to an n-byte boundary
@@ -28,14 +30,14 @@ import (
 //	lui  rt, imm
 //	lw   rt, off(base)    displacement memory
 //	lwx  rd, idx(base)    indexed memory
-//	beq  rs, rt, label    branches take a label (or numeric word offset)
+//	beq  rs, rt, label    branches take a label, never a number
 //	blez rs, label
 //	j    label            jumps take a label
 //	jr   rs / jalr rd, rs
 //	out  rs / halt / nop
 //
-// Pseudo-instructions: move rd, rs · li rd, imm32 · la rd, label ·
-// b label · ret.
+// Pseudo-instructions: move rd, rs · li rd, imm32 (-2^31..2^32-1) ·
+// la rd, label · b label · ret.
 func AssembleText(src string) (*Program, error) {
 	b := NewBuilder()
 	inData := false
@@ -108,7 +110,11 @@ func parseDirective(b *Builder, dir, rest string, inData *bool) error {
 				return err
 			}
 			if dir == ".word" {
-				b.Word(int32(v))
+				w, err := word32(dir, v)
+				if err != nil {
+					return err
+				}
+				b.Word(w)
 			} else {
 				if v < -128 || v > 255 {
 					return fmt.Errorf(".byte value %d out of range", v)
@@ -161,6 +167,25 @@ func parseInt(s string) (int64, error) {
 		return 0, fmt.Errorf("bad integer %q", s)
 	}
 	return v, nil
+}
+
+// word32 narrows v to a 32-bit word, read as signed or unsigned, so
+// -1 and 0xFFFFFFFF are the same word; a wider value is an error, not
+// its low 32 bits.
+func word32(what string, v int64) (int32, error) {
+	if v < math.MinInt32 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("%s value %d out of range", what, v)
+	}
+	return int32(v), nil
+}
+
+// checkTarget rejects a number as a branch or jump target, which is
+// always a label: the number would be looked up as an undefined label.
+func checkTarget(mnemonic, target string) error {
+	if _, err := strconv.ParseInt(target, 0, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		return fmt.Errorf("%s target %s is a number; %s takes a label", mnemonic, target, mnemonic)
+	}
+	return nil
 }
 
 func parseReg(s string) (isa.Reg, error) {
@@ -248,6 +273,9 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 		if err := need(1); err != nil {
 			return err
 		}
+		if err := checkTarget(mnemonic, ops[0]); err != nil {
+			return err
+		}
 		switch mnemonic {
 		case "j":
 			b.J(ops[0])
@@ -283,7 +311,11 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 		if err != nil {
 			return err
 		}
-		b.Li(rd, int32(v))
+		w, err := word32(mnemonic, v)
+		if err != nil {
+			return err
+		}
+		b.Li(rd, w)
 		return nil
 	case "la":
 		if err := need(2); err != nil {
@@ -341,6 +373,9 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 				return err
 			}
 			target = ops[1]
+		}
+		if err = checkTarget(mnemonic, target); err != nil {
+			return err
 		}
 		b.Branch(op, rs, rt, target)
 		return nil

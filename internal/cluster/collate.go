@@ -8,6 +8,7 @@ import (
 	"net/url"
 
 	"tcsim/internal/obs"
+	"tcsim/internal/server"
 )
 
 // Trace collation: GET /v1/trace/{request-id} assembles one connected
@@ -37,7 +38,7 @@ func (g *Gateway) handleCollectTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		all = append(all, spans...)
 	}
-	writeJSON(w, http.StatusOK, obs.BuildSpanTree(rid, all))
+	server.WriteJSON(w, http.StatusOK, obs.BuildSpanTree(rid, all))
 }
 
 // nodesTouched maps the gateway's attempt spans for a trace onto node

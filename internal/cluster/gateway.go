@@ -224,19 +224,11 @@ func (g *Gateway) Healthy() int {
 
 // --- helpers ---
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func writeErr(w http.ResponseWriter, status int, code, msg string, retryAfterSecs int) {
 	if retryAfterSecs > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 	}
-	writeJSON(w, status, client.ErrorBody{Error: client.APIError{
+	server.WriteJSON(w, status, client.ErrorBody{Error: client.APIError{
 		Code: code, Message: msg, RetryAfterSecs: retryAfterSecs}})
 }
 
@@ -409,6 +401,21 @@ func splitID(id string) (node int, rest string, ok bool) {
 	return n, rest, true
 }
 
+// nodeJob runs one job exchange with a node and decodes the envelope of
+// its answer, leaving the result as the bytes the node wrote: the
+// gateway relays a result, it never decodes one.
+func nodeJob(ctx context.Context, c *client.Client, method, path string, in any) (*server.JobEnvelope, error) {
+	raw, err := c.Raw(ctx, method, path, in)
+	if err != nil {
+		return nil, err
+	}
+	var job server.JobEnvelope
+	if err := json.Unmarshal(raw, &job); err != nil {
+		return nil, fmt.Errorf("cluster: decode %s %s response: %w", method, path, err)
+	}
+	return &job, nil
+}
+
 // handleJobs implements POST /v1/jobs: resolve the canonical config
 // key exactly as a node would, hash it onto the ring, and proxy — with
 // per-node retry/backoff and re-hash failover. Submission is idempotent
@@ -437,11 +444,12 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if async {
 		root.SetAttr("async", "true")
 	}
-	job, idx, err := tryNodes(g, ctx, g.ring.Order(key), func(ctx context.Context, _ int, c *client.Client) (*client.Job, error) {
-		if async {
-			return c.SubmitJobAsync(ctx, &req)
-		}
-		return c.SubmitJob(ctx, &req)
+	path := "/v1/jobs"
+	if async {
+		path += "?async=1"
+	}
+	job, idx, err := tryNodes(g, ctx, g.ring.Order(key), func(ctx context.Context, _ int, c *client.Client) (*server.JobEnvelope, error) {
+		return nodeJob(ctx, c, http.MethodPost, path, &req)
 	})
 	if err != nil {
 		g.met.jobsErr.Add(1)
@@ -466,7 +474,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if async {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, job)
+	server.WriteJSON(w, status, job)
 }
 
 // handleGetJob implements GET /v1/jobs/{id}: the node index embedded in
@@ -484,7 +492,8 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.SetAttr("node", g.nodes[node].Name)
-	job, err := g.clients[node].GetJob(client.WithSpanParent(ctx, root.ID()), rest)
+	job, err := nodeJob(client.WithSpanParent(ctx, root.ID()), g.clients[node],
+		http.MethodGet, "/v1/jobs/"+url.PathEscape(rest), nil)
 	if err != nil {
 		root.SetError(err)
 		root.Finish()
@@ -493,7 +502,7 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job.ID = prefixID(node, job.ID)
 	root.Finish()
-	writeJSON(w, http.StatusOK, job)
+	server.WriteJSON(w, http.StatusOK, job)
 }
 
 // handleSweeps implements POST /v1/sweeps: the gateway expands the
@@ -576,7 +585,7 @@ func (g *Gateway) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.Finish()
-	writeJSON(w, http.StatusOK, &client.SweepResponse{
+	server.WriteJSON(w, http.StatusOK, &client.SweepResponse{
 		Rows:        rows,
 		Cells:       len(cells),
 		Simulations: sims.Load(),
@@ -598,7 +607,7 @@ func (g *Gateway) handlePasses(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.Finish()
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handlePolicies(w http.ResponseWriter, r *http.Request) {
@@ -613,7 +622,7 @@ func (g *Gateway) handlePolicies(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.Finish()
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // anyOrder is the preference order for node-agnostic requests.
@@ -700,7 +709,7 @@ func (g *Gateway) orderHealthyFirst(key string) []int {
 
 // handleCluster implements GET /v1/cluster.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Status())
+	server.WriteJSON(w, http.StatusOK, g.Status())
 }
 
 // Status snapshots the gateway's cluster view.
@@ -720,7 +729,7 @@ func (g *Gateway) Status() *client.ClusterStatus {
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady: the gateway is ready while it is not draining and at
@@ -734,5 +743,5 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "bad_gateway", "no healthy backend nodes", 2)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

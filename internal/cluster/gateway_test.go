@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -86,10 +88,11 @@ func testClusterProbing(t *testing.T, n int, probe time.Duration) (*Gateway, *ht
 
 // TestGatewayJobAffinity: jobs proxy through the gateway bit-for-bit
 // identically to a direct run, identical configs land on the same node
-// (second submission is that node's cache hit), and async IDs poll back
-// through the node-index namespace.
+// (second submission is that node's cache hit), a hit's result bytes
+// pass through the gateway exactly as the owner wrote them, and async
+// IDs poll back through the node-index namespace.
 func TestGatewayJobAffinity(t *testing.T) {
-	g, gts, nodes := testCluster(t, 3)
+	_, gts, nodes := testCluster(t, 3)
 	ctx := context.Background()
 	cl := client.New(gts.URL)
 
@@ -98,7 +101,7 @@ func TestGatewayJobAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := tcsim.RunWorkload(cfg, "compress")
+	direct, err := tcsim.RunWorkloadContextIn(ctx, cfg, "compress", tcsim.NewTraceStore(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +130,29 @@ func TestGatewayJobAffinity(t *testing.T) {
 		t.Fatalf("owner cache hits %v -> %v, want +1 (affinity broken?)", before, after)
 	}
 
+	// The relay: a hit's result reaches the client as the bytes its
+	// owner stored, whether submitted sync, async, or polled.
+	stored := hitJob(t, client.New(nodes[owner].ts.URL), http.MethodPost, "/v1/jobs", req).Result
+	var decoded tcsim.Result
+	if err := json.Unmarshal(stored, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded, direct) {
+		t.Fatalf("owner's stored result differs from direct run:\n stored %+v\n direct %+v", decoded, direct)
+	}
+	syncHit := hitJob(t, cl, http.MethodPost, "/v1/jobs", req)
+	asyncHit := hitJob(t, cl, http.MethodPost, "/v1/jobs?async=1", req)
+	polled := hitJob(t, cl, http.MethodGet, "/v1/jobs/"+asyncHit.ID, nil)
+	for via, job := range map[string]*server.JobEnvelope{"sync": syncHit, "async": asyncHit, "poll": polled} {
+		if !job.Cached {
+			t.Errorf("%s through the gateway: job %s not served from the owner's cache", via, job.ID)
+		}
+		if !bytes.Equal(job.Result, stored) {
+			t.Errorf("%s hit through the gateway: result bytes differ from the owner's:\n gateway %s\n owner   %s",
+				via, job.Result, stored)
+		}
+	}
+
 	// Async: the prefixed ID round-trips through GET /v1/jobs/{id}.
 	aj, err := cl.SubmitJobAsync(ctx, &client.JobRequest{Workload: "gcc", Insts: testInsts})
 	if err != nil {
@@ -142,7 +168,24 @@ func TestGatewayJobAffinity(t *testing.T) {
 	if done.State != client.StateDone || done.ID != aj.ID {
 		t.Fatalf("polled job = (%q, %q), want done under the same ID", done.State, done.ID)
 	}
-	_ = g
+}
+
+// hitJob runs one job exchange that must answer a finished job, and
+// returns the job with its result as the bytes on the wire.
+func hitJob(t *testing.T, c *client.Client, method, path string, in any) *server.JobEnvelope {
+	t.Helper()
+	raw, err := c.Raw(context.Background(), method, path, in)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	var job server.JobEnvelope
+	if err := json.Unmarshal(raw, &job); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	if job.State != client.StateDone || len(job.Result) == 0 {
+		t.Fatalf("%s %s: job %q in state %q, want done with a result", method, path, job.ID, job.State)
+	}
+	return &job
 }
 
 // TestGatewayStorm is the cluster's serving contract under concurrent

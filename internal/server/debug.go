@@ -16,7 +16,7 @@ import (
 // ?trace=<request-id>.
 func DebugSpans(sp *obs.Spanner) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, sp.Dump(obs.SanitizeID(r.URL.Query().Get("trace"))))
+		WriteJSON(w, http.StatusOK, sp.Dump(obs.SanitizeID(r.URL.Query().Get("trace"))))
 	}
 }
 
@@ -36,8 +36,8 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	rid := j.rid
 	var tl *obs.Timeline
-	if j.res != nil {
-		tl = j.res.Timeline
+	if j.ent != nil {
+		tl = j.ent.res.Timeline
 	}
 	j.mu.Unlock()
 	spans := s.spans.Dump(rid).Spans

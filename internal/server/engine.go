@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -63,17 +64,23 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// cacheEntry is one completed simulation in the result cache.
+// cacheEntry is one completed simulation in the result cache. It is
+// immutable once made: finished job records point at it, and outlive
+// its eviction.
 type cacheEntry struct {
 	res tcsim.Result
-	at  time.Time // insertion time, for the cache-age histogram
+	// json is res's compact JSON encoding, made once when the result
+	// enters the cache; every response carrying the result writes these
+	// bytes.
+	json json.RawMessage
+	at   time.Time // insertion time, for the cache-age histogram
 }
 
 // runFlight is one in-progress simulation: the owner runs and closes
 // done; identical concurrent requests join it instead of simulating.
 type runFlight struct {
 	done chan struct{}
-	res  tcsim.Result
+	ent  *cacheEntry
 	err  error
 }
 
@@ -128,17 +135,20 @@ func (e *Engine) Store() *tcsim.TraceStore { return e.cfg.Store }
 // Limits returns the engine's per-job bounds for request resolution.
 func (e *Engine) Limits() Limits { return e.cfg.Limits }
 
-// Cached returns the cached result for key, if present, counting a hit.
-func (e *Engine) Cached(key string) (tcsim.Result, bool) {
+// cached is the one result-cache lookup: it returns key's entry, if
+// present, counting the hit and marking it on ctx's span. The submit
+// handler's admission-free fast path and Run both call it.
+func (e *Engine) cached(ctx context.Context, key string) (*cacheEntry, bool) {
 	e.mu.Lock()
 	ent, ok := e.cache[key]
 	e.mu.Unlock()
 	if !ok {
-		return tcsim.Result{}, false
+		return nil, false
 	}
 	e.met.hits.Add(1)
 	e.met.cacheAge.Observe(time.Since(ent.at).Seconds())
-	return ent.res, true
+	e.spans.Event(ctx, "cache-lookup", "outcome", "hit", "key", shortKey(key))
+	return ent, true
 }
 
 // Admit reserves an admission token, the engine's backpressure unit: at
@@ -194,17 +204,19 @@ func (e *Engine) RetryAfter() time.Duration {
 // actual simulation in a worker slot under the job's timeout. The
 // caller must hold an admission token from Admit for the duration (a
 // sweep's cells share the sweep's token).
-// The returned cached flag covers both cache hits and dedup joins.
-func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached bool, err error) {
+// It returns the result's cache entry; the returned cached flag covers
+// both cache hits and dedup joins.
+func (e *Engine) Run(ctx context.Context, r resolved) (*cacheEntry, bool, error) {
 	key := r.key
 	for {
+		if ent, ok := e.cached(ctx, key); ok {
+			return ent, true, nil
+		}
 		e.mu.Lock()
-		if ent, ok := e.cache[key]; ok {
+		if _, ok := e.cache[key]; ok {
+			// Inserted since the lookup: serve it as a hit.
 			e.mu.Unlock()
-			e.met.hits.Add(1)
-			e.met.cacheAge.Observe(time.Since(ent.at).Seconds())
-			e.spans.Event(ctx, "cache-lookup", "outcome", "hit", "key", shortKey(key))
-			return ent.res, true, nil
+			continue
 		}
 		if f, ok := e.flights[key]; ok {
 			e.mu.Unlock()
@@ -215,7 +227,7 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 			case <-ctx.Done():
 				wsp.SetError(ctx.Err())
 				wsp.Finish()
-				return tcsim.Result{}, false, ctx.Err()
+				return nil, false, ctx.Err()
 			}
 			wsp.Finish()
 			if isCancel(f.err) {
@@ -225,7 +237,7 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 				continue
 			}
 			e.met.joins.Add(1)
-			return f.res, f.err == nil, f.err
+			return f.ent, f.err == nil, f.err
 		}
 		f := &runFlight{done: make(chan struct{})}
 		e.flights[key] = f
@@ -233,18 +245,20 @@ func (e *Engine) Run(ctx context.Context, r resolved) (res tcsim.Result, cached 
 
 		e.met.misses.Add(1)
 		e.spans.Event(ctx, "cache-lookup", "outcome", "miss", "key", shortKey(key))
-		f.res, f.err = e.simulate(ctx, r)
+		res, err := e.simulate(ctx, r)
+		if err == nil {
+			f.ent, err = e.insert(key, res)
+		}
+		f.err = err
 		// A finished flight leaves the map either way: a result moves
 		// into the cache, a failure is forgotten (joiners already hold
 		// f and read its error), so failing keys cannot grow flights
 		// past the cache bound.
-		if f.err == nil {
-			e.insert(key, f.res)
-		} else {
+		if err != nil {
 			e.forget(key, f)
 		}
 		close(f.done)
-		return f.res, false, f.err
+		return f.ent, false, f.err
 	}
 }
 
@@ -265,13 +279,22 @@ func (e *Engine) forget(key string, f *runFlight) {
 	e.mu.Unlock()
 }
 
-// insert caches a completed result, evicting oldest-inserted entries
-// beyond the cap, and retires the flight cell.
-func (e *Engine) insert(key string, res tcsim.Result) {
+// insert encodes a completed result, once for every response that will
+// carry it, caches it, evicting oldest-inserted entries beyond the cap,
+// and retires the flight cell. A result that cannot be encoded is the
+// run's error.
+func (e *Engine) insert(key string, res tcsim.Result) (*cacheEntry, error) {
+	raw, err := json.Marshal(&res)
+	if err != nil {
+		return nil, fmt.Errorf("server: encode result: %w", err)
+	}
+	ent := &cacheEntry{res: res, json: raw, at: time.Now()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.cache[key]; !dup {
-		e.cache[key] = &cacheEntry{res: res, at: time.Now()}
+	if old, dup := e.cache[key]; dup {
+		ent = old
+	} else {
+		e.cache[key] = ent
 		e.order = append(e.order, key)
 		for len(e.cache) > e.cfg.CacheEntries {
 			oldest := e.order[0]
@@ -280,6 +303,7 @@ func (e *Engine) insert(key string, res tcsim.Result) {
 		}
 	}
 	delete(e.flights, key)
+	return ent, nil
 }
 
 // simulate waits for a worker slot (a visible queue-wait span), then

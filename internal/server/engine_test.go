@@ -155,11 +155,12 @@ func TestEngineCacheAndDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, _, err := e.Run(context.Background(), spec)
+			ent, _, err := e.Run(context.Background(), spec)
 			if err != nil {
 				t.Errorf("Run: %v", err)
+				return
 			}
-			results[i] = res
+			results[i] = ent.res
 		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let the joiners pile onto the flight
@@ -357,7 +358,7 @@ func TestJobStoreTTL(t *testing.T) {
 	s := newJobStore(time.Minute)
 	defer s.close()
 	j := s.create("k", "r1")
-	j.finish(tcsim.Result{}, false, nil, 0, time.Minute)
+	j.finish(&cacheEntry{}, false, nil, 0, time.Minute)
 	if _, ok := s.get(j.id); !ok {
 		t.Fatal("fresh job missing")
 	}

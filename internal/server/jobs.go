@@ -3,14 +3,14 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"sync"
 	"time"
 
-	"tcsim"
 	"tcsim/client"
 )
 
-// job is one async submission's record.
+// job is one submission's record.
 type job struct {
 	id      string
 	key     string
@@ -18,25 +18,41 @@ type job struct {
 	mu      sync.Mutex
 	state   string
 	cached  bool
-	res     *tcsim.Result
+	ent     *cacheEntry // the result, shared with the cache; nil until done
 	errMsg  string
 	wall    time.Duration
 	doneAt  time.Time // zero until terminal
 	expires time.Time // zero until terminal; GC'd after
 }
 
+// JobEnvelope is a job on the wire with its result left encoded: the
+// JSON that client.Job decodes, field for field. tcserved writes it
+// around a result's stored encoding, and tcgate relays it, rewriting
+// only ID, so no response re-encodes a tcsim.Result.
+type JobEnvelope struct {
+	ID     string          `json:"id"`
+	State  string          `json:"state"`
+	Key    string          `json:"key"`
+	Cached bool            `json:"cached,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	WallMS float64         `json:"wall_ms,omitempty"`
+}
+
 // wire converts the record to its API shape.
-func (j *job) wire() *client.Job {
+func (j *job) wire() *JobEnvelope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	w := &client.Job{
+	w := &JobEnvelope{
 		ID:     j.id,
 		State:  j.state,
 		Key:    j.key,
 		Cached: j.cached,
-		Result: j.res,
 		Error:  j.errMsg,
 		WallMS: float64(j.wall.Microseconds()) / 1000,
+	}
+	if j.ent != nil {
+		w.Result = j.ent.json
 	}
 	return w
 }
@@ -47,7 +63,7 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *job) finish(res tcsim.Result, cached bool, err error, wall time.Duration, ttl time.Duration) {
+func (j *job) finish(ent *cacheEntry, cached bool, err error, wall time.Duration, ttl time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.wall = wall
@@ -60,7 +76,7 @@ func (j *job) finish(res tcsim.Result, cached bool, err error, wall time.Duratio
 		return
 	}
 	j.state = client.StateDone
-	j.res = &res
+	j.ent = ent
 }
 
 // jobStore indexes async jobs by ID and garbage-collects finished ones

@@ -153,12 +153,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- responses ---
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a compact JSON response: tcserved's and tcgate's
+// one response writer. An encoding error cannot change the status already
+// sent, so it is dropped; the client sees a truncated body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
@@ -168,11 +169,11 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, status, client.ErrorBody{Error: client.APIError{
+		WriteJSON(w, status, client.ErrorBody{Error: client.APIError{
 			Code: code, Message: msg, RetryAfterSecs: secs}})
 		return
 	}
-	writeJSON(w, status, client.ErrorBody{Error: client.APIError{Code: code, Message: msg}})
+	WriteJSON(w, status, client.ErrorBody{Error: client.APIError{Code: code, Message: msg}})
 }
 
 // writeRunError maps an engine/run error onto the wire.
@@ -236,11 +237,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Cache hits are free: serve them without consuming admission, so a
 	// full queue never rejects an already-computed answer.
-	if res, ok := s.engine.Cached(key); ok {
+	if ent, ok := s.engine.cached(r.Context(), key); ok {
 		s.engine.met.completed.Add(1)
-		s.spans.Event(r.Context(), "cache-lookup", "outcome", "hit", "key", key)
 		j := s.jobs.create(key, rid)
-		j.finish(res, true, nil, 0, s.jobs.ttl)
+		j.finish(ent, true, nil, 0, s.jobs.ttl)
 		s.log.Info("job cache hit", "trace_id", rid, "request_id", rid,
 			"span_id", serve.ID(), "job_id", j.id,
 			"key", key, "workload", rj.workload)
@@ -248,7 +248,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if async {
 			status = http.StatusAccepted
 		}
-		writeJSON(w, status, j.wire())
+		WriteJSON(w, status, j.wire())
 		return
 	}
 
@@ -277,7 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			defer release()
 			s.runJob(ctx, rid, j, rj)
 		}()
-		writeJSON(w, http.StatusAccepted, j.wire())
+		WriteJSON(w, http.StatusAccepted, j.wire())
 		return
 	}
 	defer release()
@@ -285,7 +285,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.wire())
+	WriteJSON(w, http.StatusOK, j.wire())
 }
 
 // runJob drives one admitted job through the engine and records the
@@ -305,9 +305,9 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 	s.log.Info("job started", "trace_id", rid, "request_id", rid, "span_id", sid,
 		"job_id", j.id, "key", j.key)
 	t0 := time.Now()
-	res, cached, err := s.engine.Run(ctx, rj)
+	ent, cached, err := s.engine.Run(ctx, rj)
 	wall := time.Since(t0)
-	j.finish(res, cached, err, wall, s.jobs.ttl)
+	j.finish(ent, cached, err, wall, s.jobs.ttl)
 	if err != nil {
 		s.engine.met.failed.Add(1)
 		s.log.Error("job failed", "trace_id", rid, "request_id", rid, "span_id", sid,
@@ -317,7 +317,7 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 	s.engine.met.completed.Add(1)
 	s.log.Info("job completed", "trace_id", rid, "request_id", rid, "span_id", sid,
 		"job_id", j.id, "key", j.key,
-		"cached", cached, "wall", wall.Round(time.Microsecond), "ipc", res.IPC)
+		"cached", cached, "wall", wall.Round(time.Microsecond), "ipc", ent.res.IPC)
 	return nil
 }
 
@@ -330,7 +330,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.wire())
+	WriteJSON(w, http.StatusOK, j.wire())
 }
 
 // handleSweep implements POST /v1/sweeps: resolve the cross product,
@@ -361,7 +361,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePasses implements GET /v1/passes from the pass registry.
@@ -370,7 +370,7 @@ func (s *Server) handlePasses(w http.ResponseWriter, r *http.Request) {
 	for _, p := range tcsim.Passes() {
 		out = append(out, client.Pass{Name: p.Name, Desc: p.Desc, Default: p.Default})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handlePolicies implements GET /v1/policies from the replacement-policy
@@ -380,14 +380,14 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	for _, p := range tcsim.Policies() {
 		out = append(out, client.Policy{Name: p.Name, Desc: p.Desc, Default: p.Default, Oracle: p.Oracle})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth implements GET /healthz — liveness. It answers 200 for
 // as long as the process serves HTTP, including during a graceful
 // drain: a draining node is alive, just not ready.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady implements GET /healthz/ready — readiness. It flips to
@@ -399,7 +399,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			"server is draining and should receive no new work", 2*time.Second)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // ContentTypeTrace is the media type of serialized trace bodies served

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -36,9 +39,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 // TestEndToEndJobDeterminism is the core serving contract: a job
 // submitted over HTTP — sync, async+poll, and a cached repeat — returns
 // bit-for-bit the result of a direct tcsim.Run of the same config,
-// across the real JSON round trip.
+// across the real JSON round trip. The cache holds one entry, so the
+// async job evicts the cached repeat's result, which its job record must
+// still serve.
 func TestEndToEndJobDeterminism(t *testing.T) {
-	_, cl := newTestServer(t, Config{})
+	srv, cl := newTestServer(t, Config{Engine: EngineConfig{CacheEntries: 1}})
 	ctx := context.Background()
 	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts, Preset: client.PresetAll}
 
@@ -95,6 +100,21 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	aexp, _ := tcsim.RunWorkload(adcfg, areq.Workload)
 	if !reflect.DeepEqual(*done.Result, aexp) {
 		t.Error("async served result differs from direct run")
+	}
+
+	// The cached repeat's key was evicted; its job still answers.
+	srv.engine.mu.Lock()
+	_, resident := srv.engine.cache[wantKey]
+	srv.engine.mu.Unlock()
+	if resident {
+		t.Fatal("a one-entry cache still holds the first key after another job")
+	}
+	polled, err := cl.GetJob(ctx, again.ID)
+	if err != nil {
+		t.Fatalf("GetJob after eviction: %v", err)
+	}
+	if polled.State != client.StateDone || polled.Result == nil || !reflect.DeepEqual(*polled.Result, expected) {
+		t.Errorf("hit job after its key's eviction: state %q, result differs from direct run", polled.State)
 	}
 
 	// Metrics reflect the traffic.
@@ -498,5 +518,67 @@ func TestPassesAndHealth(t *testing.T) {
 		if policies[i] != client.Policy(p) {
 			t.Errorf("/v1/policies[%d] = %+v, registry has %+v", i, policies[i], p)
 		}
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps only the byte count.
+type discardResponse struct {
+	header http.Header
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
+
+// TestCacheHitAllocationsFlat guards the hit path's encoding work: a hit
+// writes the result's stored encoding, so the bytes one hit allocates
+// must not grow with the result. An encoder that re-marshals or indents
+// the result on every hit allocates several times the extra result
+// bytes per hit; writing the stored encoding allocates a fraction of
+// them.
+func TestCacheHitAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoder buffers at random")
+	}
+	srv := New(Config{})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	const hits = 100
+	perHit := func(req client.JobRequest) (alloc float64, resultLen int) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardResponse{header: http.Header{}}
+		serve := func() {
+			w.n = 0
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		}
+		serve() // the miss that simulates and caches the result
+		serve() // a first hit, which fills the encoder's pooled buffer
+		srv.engine.mu.Lock()
+		for _, ent := range srv.engine.cache {
+			resultLen = max(resultLen, len(ent.json))
+		}
+		srv.engine.mu.Unlock()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < hits; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&m1)
+		if w.n < resultLen {
+			t.Fatalf("%s: hit wrote %d bytes, less than its %d-byte result", req.Workload, w.n, resultLen)
+		}
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / hits, resultLen
+	}
+	small, smallLen := perHit(client.JobRequest{Workload: "compress", Insts: testInsts, Preset: client.PresetBaseline})
+	large, largeLen := perHit(client.JobRequest{Workload: "gcc", Insts: 50_000, Preset: client.PresetAll})
+	t.Logf("bytes allocated per hit: %.0f for a %d-byte result, %.0f for a %d-byte result", small, smallLen, large, largeLen)
+	if grown := large - small; grown >= float64(largeLen-smallLen) {
+		t.Errorf("a hit on a result %d bytes larger allocates %.0f bytes more: a copy of the result per hit",
+			largeLen-smallLen, grown)
 	}
 }

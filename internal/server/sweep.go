@@ -115,7 +115,7 @@ func (e *Engine) runSweep(ctx context.Context, cells []sweepCell) (*client.Sweep
 			sp.SetAttr("workload", cell.workload)
 			sp.SetAttr("key", shortKey(cell.key))
 			defer sp.Finish()
-			res, cached, err := e.Run(ctx, cell.resolved)
+			ent, cached, err := e.Run(ctx, cell.resolved)
 			if err != nil {
 				sp.SetError(err)
 				cancel(err) // only the first cause sticks
@@ -124,6 +124,7 @@ func (e *Engine) runSweep(ctx context.Context, cells []sweepCell) (*client.Sweep
 			if !cached {
 				sims.Add(1)
 			}
+			res := &ent.res
 			rows[i] = client.SweepRow{
 				Workload:       cell.workload,
 				Key:            cell.key,
