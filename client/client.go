@@ -199,7 +199,7 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 // as the JSON request body and the same retries, request-ID and
 // trace-parent headers and *APIError mapping, and returns the 2xx
 // response body unparsed. The cluster gateway relays job responses
-// through it without decoding their results.
+// through it without parsing them.
 func (c *Client) Raw(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var raw []byte
 	if err := c.do(ctx, method, path, in, &raw); err != nil {
@@ -311,11 +311,27 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		return nil
 	}
 	if raw, ok := out.(*[]byte); ok {
-		*raw, err = io.ReadAll(resp.Body)
+		*raw, err = readBody(resp)
 		return err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// maxSizedRead bounds the buffer readBody sizes from a Content-Length
+// header alone; a larger claimed body is read as it arrives.
+const maxSizedRead = 16 << 20
+
+// readBody reads a whole response body. When the response declares its
+// length, the body is read into one buffer of exactly that size: one
+// copy, where io.ReadAll's doubling can allocate about twice the body.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxSizedRead {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(resp.Body)
 }

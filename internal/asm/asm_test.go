@@ -272,9 +272,9 @@ func TestAssembleTextErrors(t *testing.T) {
 }
 
 // TestAssembleTextRejectsWhatItCannotEncode: a number where a branch or
-// jump takes a label, and a .word or li value wider than 32 bits, are
-// errors that say so, not an undefined label or the value's low 32
-// bits.
+// jump takes a label, and a .word, li, lui, immediate ALU or memory
+// offset value wider than 32 bits, are errors that say so, not an
+// undefined label or the value's low 32 bits.
 func TestAssembleTextRejectsWhatItCannotEncode(t *testing.T) {
 	for src, want := range map[string]string{
 		"beq t0, t1, 1":                      "beq target 1 is a number; beq takes a label",
@@ -287,6 +287,9 @@ func TestAssembleTextRejectsWhatItCannotEncode(t *testing.T) {
 		"li t0, 4294967296":                  "li value 4294967296 out of range",
 		"li t0, -2147483649":                 "li value -2147483649 out of range",
 		".data\n.word 0x7fffffffffffffff, 1": ".word value 9223372036854775807 out of range",
+		"addi t0, t1, 4294967297":            "addi value 4294967297 out of range",
+		"lui t0, 4294967297":                 "lui value 4294967297 out of range",
+		"lw t0, 4294967300(t1)":              "lw offset value 4294967300 out of range",
 	} {
 		_, err := AssembleText(src + "\nhalt\n")
 		if err == nil || !strings.Contains(err.Error(), want) {

@@ -339,7 +339,11 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 		if err != nil {
 			return err
 		}
-		b.Lui(rt, int32(v))
+		w, err := word32(mnemonic, v)
+		if err != nil {
+			return err
+		}
+		b.Lui(rt, w)
 		return nil
 	}
 
@@ -419,9 +423,13 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 		if err != nil {
 			return err
 		}
-		off := int64(0)
+		var off int32
 		if offs != "" {
-			if off, err = parseInt(offs); err != nil {
+			v, err := parseInt(offs)
+			if err != nil {
+				return err
+			}
+			if off, err = word32(mnemonic+" offset", v); err != nil {
 				return err
 			}
 		}
@@ -429,7 +437,7 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 		if err != nil {
 			return err
 		}
-		b.Mem(op, rt, rb, int32(off))
+		b.Mem(op, rt, rb, off)
 		return nil
 
 	default:
@@ -459,7 +467,11 @@ func parseInstruction(b *Builder, mnemonic, rest string) error {
 			if err != nil {
 				return fmt.Errorf("%s expects an immediate third operand: %v", mnemonic, err)
 			}
-			b.OpI(op, r0, r1, int32(v))
+			imm, err := word32(mnemonic, v)
+			if err != nil {
+				return err
+			}
+			b.OpI(op, r0, r1, imm)
 			return nil
 		default:
 			return fmt.Errorf("unsupported mnemonic %q", mnemonic)

@@ -381,9 +381,8 @@ func tryNodes[T any](g *Gateway, ctx context.Context, order []int, call func(ctx
 
 // prefixID namespaces a backend job ID with its node index so polls
 // route back to the node that owns the job. Backend IDs never contain
-// "." before the first path segment (they are "j" + counter), so the
-// encoding is unambiguous.
-func prefixID(node int, id string) string { return fmt.Sprintf("n%d.%s", node, id) }
+// "." (they are "j" + hex), so the encoding is unambiguous.
+func prefixID(node int, id string) string { return "n" + strconv.Itoa(node) + "." + id }
 
 // splitID undoes prefixID.
 func splitID(id string) (node int, rest string, ok bool) {
@@ -401,19 +400,48 @@ func splitID(id string) (node int, rest string, ok bool) {
 	return n, rest, true
 }
 
-// nodeJob runs one job exchange with a node and decodes the envelope of
-// its answer, leaving the result as the bytes the node wrote: the
-// gateway relays a result, it never decodes one.
-func nodeJob(ctx context.Context, c *client.Client, method, path string, in any) (*server.JobEnvelope, error) {
-	raw, err := c.Raw(ctx, method, path, in)
+// nodeJob is a node's answer to one job exchange, relayed as it is.
+type nodeJob struct {
+	body  []byte // the node's body, exactly as it sent it
+	idEnd int    // body[len(server.JobBodyOpen):idEnd] is the node's job ID
+}
+
+// id is the node's own ID for the job.
+func (j nodeJob) id() string { return string(j.body[len(server.JobBodyOpen):j.idEnd]) }
+
+// fetchJob runs one job exchange with a node and returns its body after
+// two checks: it is valid JSON, and it opens with a node job ID
+// (server.LeadingJobID). The gateway relays a job body, it never decodes
+// or re-encodes one. A body that fails either check is a decode error,
+// which fails over like any other node failure.
+func fetchJob(ctx context.Context, c *client.Client, method, path string, in any) (nodeJob, error) {
+	body, err := c.Raw(ctx, method, path, in)
 	if err != nil {
-		return nil, err
+		return nodeJob{}, err
 	}
-	var job server.JobEnvelope
-	if err := json.Unmarshal(raw, &job); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s %s response: %w", method, path, err)
+	end := server.LeadingJobID(body)
+	if end < 0 || !json.Valid(body) {
+		return nodeJob{}, fmt.Errorf("cluster: decode %s %s response: not a job envelope", method, path)
 	}
-	return &job, nil
+	return nodeJob{body: body, idEnd: end}, nil
+}
+
+// relayJob writes a node's job body under the gateway's ID for it: the
+// body opens {"id":"n<node>. and goes on with the node's bytes after
+// their own {"id":", so the node's job ID follows the prefix. Nothing
+// else is copied or parsed.
+func relayJob(w http.ResponseWriter, status, node int, j nodeJob) {
+	open := make([]byte, 0, 24)
+	open = append(open, server.JobBodyOpen+"n"...)
+	open = strconv.AppendInt(open, int64(node), 10)
+	open = append(open, '.')
+	rest := j.body[len(server.JobBodyOpen):]
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(open)+len(rest)))
+	w.WriteHeader(status)
+	w.Write(open)
+	w.Write(rest)
 }
 
 // handleJobs implements POST /v1/jobs: resolve the canonical config
@@ -448,8 +476,8 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if async {
 		path += "?async=1"
 	}
-	job, idx, err := tryNodes(g, ctx, g.ring.Order(key), func(ctx context.Context, _ int, c *client.Client) (*server.JobEnvelope, error) {
-		return nodeJob(ctx, c, http.MethodPost, path, &req)
+	job, idx, err := tryNodes(g, ctx, g.ring.Order(key), func(ctx context.Context, _ int, c *client.Client) (nodeJob, error) {
+		return fetchJob(ctx, c, http.MethodPost, path, &req)
 	})
 	if err != nil {
 		g.met.jobsErr.Add(1)
@@ -461,11 +489,11 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.met.jobsOK.Add(1)
-	job.ID = prefixID(idx, job.ID)
+	id := prefixID(idx, job.id())
 	g.log.Info("job proxied", "trace_id", rid, "request_id", rid, "span_id", root.ID(),
-		"key", key, "node", g.nodes[idx].Name, "job_id", job.ID)
+		"key", key, "node", g.nodes[idx].Name, "job_id", id)
 	root.SetAttr("node", g.nodes[idx].Name)
-	root.SetAttr("job", job.ID)
+	root.SetAttr("job", id)
 	root.SetAttr("outcome", "ok")
 	// Commit the root before the body goes out: a client that reads the
 	// response and immediately collates GET /v1/trace/{rid} must find it.
@@ -474,7 +502,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if async {
 		status = http.StatusAccepted
 	}
-	server.WriteJSON(w, status, job)
+	relayJob(w, status, idx, job)
 }
 
 // handleGetJob implements GET /v1/jobs/{id}: the node index embedded in
@@ -492,7 +520,7 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.SetAttr("node", g.nodes[node].Name)
-	job, err := nodeJob(client.WithSpanParent(ctx, root.ID()), g.clients[node],
+	job, err := fetchJob(client.WithSpanParent(ctx, root.ID()), g.clients[node],
 		http.MethodGet, "/v1/jobs/"+url.PathEscape(rest), nil)
 	if err != nil {
 		root.SetError(err)
@@ -500,9 +528,8 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		g.writeUpstream(w, err)
 		return
 	}
-	job.ID = prefixID(node, job.ID)
 	root.Finish()
-	server.WriteJSON(w, http.StatusOK, job)
+	relayJob(w, http.StatusOK, node, job)
 }
 
 // handleSweeps implements POST /v1/sweeps: the gateway expands the

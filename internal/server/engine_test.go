@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -384,5 +386,35 @@ func TestJobStoreIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate job id %s", j.id)
 		}
 		seen[j.id] = true
+	}
+}
+
+// TestLeadingJobID: a body tcgate relays must open with a node job ID,
+// {"id":"j<hex>", and every job the daemon writes does.
+func TestLeadingJobID(t *testing.T) {
+	for body, want := range map[string]int{
+		`{"id":"j0123456789abcdef","state":"done"}`: 24,
+		`{"id":"ja"}`:                9,
+		`{"id":"j"}`:                 -1, // no hex digit
+		`{"id":"jA1"}`:               -1, // upper case: not a node ID
+		`{"id":"n0.j1"}`:             -1, // already a gateway ID
+		`{"id":"j1\"}`:               -1, // an escaped quote
+		`{"id":"j12`:                 -1, // no closing quote
+		`{"id": "j1"}`:               -1, // the node writes compact JSON
+		`{"state":"done","id":"j1"}`: -1,
+		``:                           -1,
+	} {
+		if got := LeadingJobID([]byte(body)); got != want {
+			t.Errorf("LeadingJobID(%s) = %d, want %d", body, got, want)
+		}
+	}
+
+	s := newJobStore(time.Minute)
+	defer s.close()
+	j := s.create("k", "r")
+	rec := httptest.NewRecorder()
+	writeJob(rec, http.StatusOK, j.wire())
+	if got, want := LeadingJobID(rec.Body.Bytes()), len(JobBodyOpen)+len(j.id); got != want {
+		t.Errorf("LeadingJobID(%s) = %d, want %d", rec.Body.Bytes(), got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -26,24 +27,50 @@ type job struct {
 }
 
 // JobEnvelope is a job on the wire with its result left encoded: the
-// JSON that client.Job decodes, field for field. tcserved writes it
-// around a result's stored encoding, and tcgate relays it, rewriting
-// only ID, so no response re-encodes a tcsim.Result.
+// JSON that client.Job decodes, field for field. writeJob writes it
+// around a result's stored encoding, and tcgate relays those bytes
+// without parsing them, so no response re-encodes a tcsim.Result.
+//
+// The member order is part of the wire: id is always the first member,
+// so a node's job body opens with {"id":"j<hex>" (LeadingJobID), and
+// tcgate rewrites the ID by splicing its node prefix in there. Result
+// is the last member, appended as the stored bytes.
 type JobEnvelope struct {
 	ID     string          `json:"id"`
 	State  string          `json:"state"`
 	Key    string          `json:"key"`
 	Cached bool            `json:"cached,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	WallMS float64         `json:"wall_ms,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+}
+
+// JobBodyOpen opens every job response body: id is JobEnvelope's first
+// member, and a node's job IDs ("j" + hex) need no escaping.
+const JobBodyOpen = `{"id":"`
+
+// LeadingJobID returns where the node job ID a job body opens with ends
+// (the offset of its closing quote), or -1 unless body opens with
+// {"id":"j<hex>".
+func LeadingJobID(body []byte) int {
+	rest, ok := bytes.CutPrefix(body, []byte(JobBodyOpen+"j"))
+	n := bytes.IndexByte(rest, '"')
+	if !ok || n < 1 {
+		return -1
+	}
+	for _, c := range rest[:n] {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return -1
+		}
+	}
+	return len(body) - len(rest) + n
 }
 
 // wire converts the record to its API shape.
-func (j *job) wire() *JobEnvelope {
+func (j *job) wire() JobEnvelope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	w := &JobEnvelope{
+	w := JobEnvelope{
 		ID:     j.id,
 		State:  j.state,
 		Key:    j.key,
@@ -79,8 +106,10 @@ func (j *job) finish(ent *cacheEntry, cached bool, err error, wall time.Duration
 	j.ent = ent
 }
 
-// jobStore indexes async jobs by ID and garbage-collects finished ones
-// after their TTL, bounding memory under sustained async load.
+// jobStore indexes every job by ID, sync and async, cache hits
+// included, so any job the daemon answered stays pollable through
+// GET /v1/jobs/{id}; it garbage-collects finished ones after their TTL,
+// bounding memory under sustained load.
 type jobStore struct {
 	ttl time.Duration
 

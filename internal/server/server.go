@@ -154,13 +154,46 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // --- responses ---
 
 // WriteJSON writes v as a compact JSON response: tcserved's and tcgate's
-// one response writer. An encoding error cannot change the status already
-// sent, so it is dropped; the client sees a truncated body.
+// writer for every body but a job's (writeJob). An encoding error cannot
+// change the status already sent, so it is dropped; the client sees a
+// truncated body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
+
+// writeJob writes every job response: the envelope's other members as
+// encoding/json marshals them, then the stored result as the last
+// member, written as it is. The bytes are what WriteJSON would write for
+// env, but the result is neither scanned nor copied. The body carries
+// its Content-Length, so a reader can size its buffer once.
+func writeJob(w http.ResponseWriter, status int, env JobEnvelope) {
+	result := env.Result
+	env.Result = nil
+	head, err := json.Marshal(&env)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "encode job: "+err.Error(), 0)
+		return
+	}
+	head = head[:len(head)-1] // reopen the object
+	sep := resultMember
+	if len(result) == 0 {
+		sep = nil
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(sep)+len(result)+len(jobEnd)))
+	w.WriteHeader(status)
+	w.Write(head)
+	w.Write(sep)
+	w.Write(result)
+	w.Write(jobEnd)
+}
+
+// resultMember and jobEnd are the fixed bytes writeJob puts around a
+// stored result; jobEnd ends with the newline json.Encoder writes.
+var resultMember, jobEnd = []byte(`,"result":`), []byte("}\n")
 
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	if retryAfter > 0 {
@@ -248,7 +281,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if async {
 			status = http.StatusAccepted
 		}
-		WriteJSON(w, status, j.wire())
+		writeJob(w, status, j.wire())
 		return
 	}
 
@@ -277,7 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			defer release()
 			s.runJob(ctx, rid, j, rj)
 		}()
-		WriteJSON(w, http.StatusAccepted, j.wire())
+		writeJob(w, http.StatusAccepted, j.wire())
 		return
 	}
 	defer release()
@@ -285,7 +318,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.wire())
+	writeJob(w, http.StatusOK, j.wire())
 }
 
 // runJob drives one admitted job through the engine and records the
@@ -330,7 +363,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
 		return
 	}
-	WriteJSON(w, http.StatusOK, j.wire())
+	writeJob(w, http.StatusOK, j.wire())
 }
 
 // handleSweep implements POST /v1/sweeps: resolve the cross product,
