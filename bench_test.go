@@ -50,7 +50,6 @@ func benchImprovement(b *testing.B, fig func(r *experiments.Runner) (*experiment
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchInsts)
-		r.Parallel = 4
 		res, err := fig(r)
 		if err != nil {
 			b.Fatal(err)
@@ -91,7 +90,6 @@ func BenchmarkFig6Placement(b *testing.B) {
 func BenchmarkFig7BypassDelays(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchInsts)
-		r.Parallel = 4
 		res, err := r.Figure7()
 		if err != nil {
 			b.Fatal(err)
@@ -107,7 +105,6 @@ func BenchmarkFig7BypassDelays(b *testing.B) {
 func BenchmarkFig8Combined(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchInsts)
-		r.Parallel = 4
 		res, err := r.Figure8()
 		if err != nil {
 			b.Fatal(err)
@@ -121,7 +118,6 @@ func BenchmarkFig8Combined(b *testing.B) {
 func BenchmarkTable2Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchInsts)
-		r.Parallel = 4
 		res, err := r.Table2()
 		if err != nil {
 			b.Fatal(err)
@@ -137,7 +133,6 @@ func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchInsts)
 		r.Workloads = []string{"compress", "m88ksim", "ijpeg"}
-		r.Parallel = 4
 		if _, err := r.Ablations(); err != nil {
 			b.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers    = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "admitted jobs beyond the running ones (0 = 4*workers, <0 = none)")
-		cacheSize  = fs.Int("cache", 4096, "result cache entries")
+		cacheSize  = fs.Int("cache", 4096, "result cache entries; the least recently used is evicted first")
 		jobTTL     = fs.Duration("job-ttl", 10*time.Minute, "how long finished async jobs stay pollable")
 		jobTimeout = fs.Duration("job-timeout", 60*time.Second, "default per-job wall-clock cap")
 		maxTimeout = fs.Duration("max-job-timeout", 5*time.Minute, "upper bound on requested per-job timeouts")

@@ -22,7 +22,7 @@ import (
 func (g *Gateway) handleCollectTrace(w http.ResponseWriter, r *http.Request) {
 	rid := obs.SanitizeID(r.PathValue("id"))
 	if rid == "" {
-		writeErr(w, http.StatusBadRequest, "invalid_argument",
+		server.WriteError(w, http.StatusBadRequest, "invalid_argument",
 			"trace ID must be a sanitized request ID", 0)
 		return
 	}

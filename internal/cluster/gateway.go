@@ -224,14 +224,6 @@ func (g *Gateway) Healthy() int {
 
 // --- helpers ---
 
-func writeErr(w http.ResponseWriter, status int, code, msg string, retryAfterSecs int) {
-	if retryAfterSecs > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
-	}
-	server.WriteJSON(w, status, client.ErrorBody{Error: client.APIError{
-		Code: code, Message: msg, RetryAfterSecs: retryAfterSecs}})
-}
-
 // writeUpstream relays a proxy-path failure: structured backend errors
 // pass through verbatim (status, code, Retry-After and all); anything
 // else — typically "no node could serve this" — becomes a 502.
@@ -242,24 +234,11 @@ func (g *Gateway) writeUpstream(w http.ResponseWriter, err error) {
 		if status == 0 {
 			status = http.StatusBadGateway
 		}
-		writeErr(w, status, ae.Code, ae.Message, ae.RetryAfterSecs)
+		server.WriteError(w, status, ae.Code, ae.Message, ae.RetryAfterSecs)
 		return
 	}
-	writeErr(w, http.StatusBadGateway, "bad_gateway",
+	server.WriteError(w, http.StatusBadGateway, "bad_gateway",
 		"no healthy backend could serve the request: "+err.Error(), 0)
-}
-
-// decode parses a JSON body with the same strictness as a node.
-func (g *Gateway) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_argument",
-			"malformed request body: "+err.Error(), 0)
-		return false
-	}
-	return true
 }
 
 // startRoot opens the gateway's root span for a proxied request and
@@ -453,7 +432,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ctx, root, rid := g.startRoot(w, r)
 	defer root.Finish()
 	var req client.JobRequest
-	if !g.decode(w, r, &req) {
+	if !server.DecodeBody(w, r, g.cfg.MaxBodyBytes, &req) {
 		root.SetAttr("outcome", "bad_request")
 		return
 	}
@@ -461,9 +440,9 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		root.SetError(err)
 		if server.IsBadRequest(err) {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", err.Error(), 0)
+			server.WriteError(w, http.StatusBadRequest, "invalid_argument", err.Error(), 0)
 		} else {
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
+			server.WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		}
 		return
 	}
@@ -515,7 +494,7 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	node, rest, ok := splitID(id)
 	if !ok || node >= len(g.nodes) {
 		root.SetAttr("outcome", "not_found")
-		writeErr(w, http.StatusNotFound, "not_found",
+		server.WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no job %q (gateway job IDs look like n0.j123)", id), 0)
 		return
 	}
@@ -542,7 +521,7 @@ func (g *Gateway) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	rctx, root, _ := g.startRoot(w, r)
 	defer root.Finish()
 	var req client.SweepRequest
-	if !g.decode(w, r, &req) {
+	if !server.DecodeBody(w, r, g.cfg.MaxBodyBytes, &req) {
 		root.SetAttr("outcome", "bad_request")
 		return
 	}
@@ -550,9 +529,9 @@ func (g *Gateway) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		root.SetError(err)
 		if server.IsBadRequest(err) {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", err.Error(), 0)
+			server.WriteError(w, http.StatusBadRequest, "invalid_argument", err.Error(), 0)
 		} else {
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
+			server.WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		}
 		return
 	}
@@ -702,7 +681,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 			// Malformed budget: every node would say the same.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			writeErr(w, http.StatusBadRequest, "invalid_argument",
+			server.WriteError(w, http.StatusBadRequest, "invalid_argument",
 				"budget query parameter must be a positive integer", 0)
 			return
 		}
@@ -710,7 +689,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		resp.Body.Close()
 	}
 	g.met.traceMisses.Add(1)
-	writeErr(w, http.StatusNotFound, "not_found",
+	server.WriteError(w, http.StatusNotFound, "not_found",
 		fmt.Sprintf("no node holds a trace for program %s", sha), 0)
 }
 
@@ -763,11 +742,11 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 // least one backend is routable.
 func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 	if g.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, "draining", "gateway is draining", 2)
+		server.WriteError(w, http.StatusServiceUnavailable, "draining", "gateway is draining", 2)
 		return
 	}
 	if g.Healthy() == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "bad_gateway", "no healthy backend nodes", 2)
+		server.WriteError(w, http.StatusServiceUnavailable, "bad_gateway", "no healthy backend nodes", 2)
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})

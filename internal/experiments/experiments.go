@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,46 +19,39 @@ import (
 	"tcsim/internal/core"
 	"tcsim/internal/emu"
 	"tcsim/internal/machine"
+	"tcsim/internal/memo"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/tracestore"
 	"tcsim/internal/workload"
 )
 
 // Runner executes simulations with singleflight memoization so the
-// figures can share runs: the memo is keyed by the canonical key of the
-// resolved machine (machine.Config.Canonical, the key tcserved caches
-// by), so two variants that describe the same machine simulate once, and
-// when two figures concurrently ask for it, one simulation runs and both
-// wait on it. Simulations are throttled by a worker pool sized
-// GOMAXPROCS (or Parallel). It is safe for concurrent use.
+// figures can share runs: the memo (internal/memo, unbounded) is keyed
+// by the canonical key of the resolved machine (machine.Config.Canonical,
+// the key tcserved caches by), so two variants that describe the same
+// machine simulate once, and when two figures concurrently ask for it,
+// one simulation runs and both wait on it. Simulations are throttled by
+// a worker pool sized GOMAXPROCS. Create one with NewRunner; it is safe
+// for concurrent use.
 type Runner struct {
 	// Insts overrides every workload's instruction budget when non-zero.
 	Insts uint64
 	// Workloads restricts the set (nil = all 15).
 	Workloads []string
-	// Parallel caps concurrent simulations (0 = GOMAXPROCS). Read once,
-	// when the first simulation starts.
-	Parallel int
 
-	mu      sync.Mutex
-	flights map[string]*flight
-	workers chan struct{} // worker-pool slots, built lazily from Parallel
-
+	runs     *memo.Cache[string, pipeline.Stats]
+	workers  chan struct{} // worker-pool slots
 	simCount atomic.Uint64 // simulations actually executed (not memo hits)
-}
-
-// flight is one singleflight cell: the first caller for a key simulates
-// and closes done; everyone else blocks on done and reads st/err.
-type flight struct {
-	done chan struct{}
-	st   pipeline.Stats
-	err  error
 }
 
 // NewRunner returns a Runner with an instruction budget override
 // (0 keeps each workload's default).
 func NewRunner(insts uint64) *Runner {
-	return &Runner{Insts: insts, flights: make(map[string]*flight)}
+	return &Runner{
+		Insts:   insts,
+		runs:    memo.New[string, pipeline.Stats](0, nil),
+		workers: make(chan struct{}, runtime.GOMAXPROCS(0)),
+	}
 }
 
 func (r *Runner) workloads() []workload.Workload {
@@ -134,9 +126,9 @@ func (r *Runner) Run(w workload.Workload, v ConfigVariant) (pipeline.Stats, erro
 }
 
 // RunContext is Run with cancellation: the simulation polls ctx and
-// aborts early when it is cancelled. A cancelled flight is forgotten so
-// a later caller can rerun the machine; completed results are memoized
-// for the Runner's lifetime.
+// aborts early when it is cancelled. Completed results are memoized for
+// the Runner's lifetime; a failed or cancelled run is forgotten, so a
+// later caller runs the machine again.
 func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
 	cfg := v.Cfg
 	if cfg.MaxInsts == 0 {
@@ -146,78 +138,25 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 	if err != nil {
 		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
-	for {
-		r.mu.Lock()
-		if r.flights == nil {
-			r.flights = make(map[string]*flight)
-		}
-		if f, ok := r.flights[key]; ok {
-			r.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return pipeline.Stats{}, ctx.Err()
-			}
-			if isCancel(f.err) {
-				// The owning caller was cancelled before finishing; its
-				// result is not a real answer for this key. Drop the
-				// cell and race to become the new owner.
-				r.forget(key, f)
-				continue
-			}
-			return f.st, f.err
-		}
-		f := &flight{done: make(chan struct{})}
-		r.flights[key] = f
-		r.mu.Unlock()
-
-		f.st, f.err = r.simulate(ctx, w.Name, v.Name, cfg)
-		if isCancel(f.err) {
-			r.forget(key, f)
-		}
-		close(f.done)
-		return f.st, f.err
-	}
+	st, _, err := r.runs.Do(ctx, key, func() (pipeline.Stats, error) {
+		return r.simulate(ctx, w.Name, v.Name, cfg)
+	})
+	return st, err
 }
 
 func isCancel(err error) bool {
 	return err != nil && (errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// forget removes a flight cell if it is still the one registered for key.
-func (r *Runner) forget(key string, f *flight) {
-	r.mu.Lock()
-	if r.flights[key] == f {
-		delete(r.flights, key)
-	}
-	r.mu.Unlock()
-}
-
-// sem returns the worker-pool slot channel, sizing it from Parallel (or
-// GOMAXPROCS) on first use.
-func (r *Runner) sem() chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.workers == nil {
-		par := r.Parallel
-		if par <= 0 {
-			par = runtime.GOMAXPROCS(0)
-		}
-		r.workers = make(chan struct{}, par)
-	}
-	return r.workers
-}
-
 // simulate runs one actual simulation of a resolved config inside a
 // worker-pool slot.
 func (r *Runner) simulate(ctx context.Context, name, label string, cfg machine.Config) (pipeline.Stats, error) {
-	sem := r.sem()
 	select {
-	case sem <- struct{}{}:
+	case r.workers <- struct{}{}:
 	case <-ctx.Done():
 		return pipeline.Stats{}, ctx.Err()
 	}
-	defer func() { <-sem }()
+	defer func() { <-r.workers }()
 	if err := ctx.Err(); err != nil {
 		return pipeline.Stats{}, err
 	}
@@ -570,25 +509,6 @@ func (r *Runner) WorkloadNames() []string {
 		ns = append(ns, w.Name)
 	}
 	return ns
-}
-
-// CacheKeys lists memoized runs — completed, successful flights only
-// (test hook).
-func (r *Runner) CacheKeys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ks []string
-	for k, f := range r.flights {
-		select {
-		case <-f.done:
-			if f.err == nil {
-				ks = append(ks, k)
-			}
-		default:
-		}
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // FillOnly drives the fill unit (with every optimization enabled)

@@ -15,7 +15,6 @@ import (
 func smallRunner() *Runner {
 	r := NewRunner(8_000)
 	r.Workloads = []string{"compress", "m88ksim", "ijpeg"}
-	r.Parallel = 4
 	return r
 }
 
@@ -33,8 +32,8 @@ func TestRunnerMemoizes(t *testing.T) {
 	if a.IPC != b.IPC {
 		t.Error("memoized run differs")
 	}
-	if len(r.CacheKeys()) != 1 {
-		t.Errorf("cache keys = %v", r.CacheKeys())
+	if n := r.runs.Stats().Entries; n != 1 {
+		t.Errorf("%d memoized runs, want 1", n)
 	}
 }
 
@@ -62,8 +61,8 @@ func TestSingleflightCountsSimulations(t *testing.T) {
 	if got := r.SimCount(); got != 9 {
 		t.Errorf("SimCount = %d, want 9 (singleflight must dedupe concurrent figures)", got)
 	}
-	if got := len(r.CacheKeys()); got != 9 {
-		t.Errorf("cache keys = %v", r.CacheKeys())
+	if got := r.runs.Stats().Entries; got != 9 {
+		t.Errorf("%d memoized runs, want 9", got)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 func TestSamplingFigure(t *testing.T) {
 	r := NewRunner(0)
 	r.Workloads = []string{"compress", "li"}
-	r.Parallel = 2
 	res, err := r.Sampling(300_000, 600_000, pipeline.SamplingConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
 		return
 	}

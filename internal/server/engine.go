@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tcsim"
+	"tcsim/internal/memo"
 	"tcsim/internal/obs"
 )
 
@@ -34,7 +35,7 @@ type EngineConfig struct {
 	// is free).
 	Queue int
 	// CacheEntries caps the result cache (0 = 4096). The cache evicts
-	// oldest-inserted first.
+	// the least recently used entry first.
 	CacheEntries int
 	// Limits bounds individual jobs.
 	Limits Limits
@@ -76,14 +77,6 @@ type cacheEntry struct {
 	at   time.Time // insertion time, for the cache-age histogram
 }
 
-// runFlight is one in-progress simulation: the owner runs and closes
-// done; identical concurrent requests join it instead of simulating.
-type runFlight struct {
-	done chan struct{}
-	ent  *cacheEntry
-	err  error
-}
-
 // Engine runs simulations behind a canonical-config-hash result cache
 // with singleflight deduplication, a bounded worker pool, and a bounded
 // admission queue. It is safe for concurrent use.
@@ -94,11 +87,10 @@ type Engine struct {
 	tickets chan struct{} // admission tokens: Workers+Queue
 	slots   chan struct{} // worker slots: Workers
 
-	mu      sync.Mutex
-	cache   map[string]*cacheEntry
-	order   []string // cache insertion order, for FIFO eviction
-	flights map[string]*runFlight
-	closed  bool
+	cache *memo.Cache[string, *cacheEntry] // by canonical key, CacheEntries at cost 1
+
+	mu     sync.Mutex
+	closed bool
 
 	wg sync.WaitGroup // admitted jobs, for graceful drain
 
@@ -120,8 +112,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		met:     newMetrics(),
 		tickets: make(chan struct{}, cfg.Workers+cfg.Queue),
 		slots:   make(chan struct{}, cfg.Workers),
-		cache:   make(map[string]*cacheEntry),
-		flights: make(map[string]*runFlight),
+		cache:   memo.New[string, *cacheEntry](int64(cfg.CacheEntries), nil),
 		runSim: func(ctx context.Context, cfg tcsim.Config, workload string) (tcsim.Result, error) {
 			return tcsim.RunWorkloadContextIn(ctx, cfg, workload, st)
 		},
@@ -135,20 +126,21 @@ func (e *Engine) Store() *tcsim.TraceStore { return e.cfg.Store }
 // Limits returns the engine's per-job bounds for request resolution.
 func (e *Engine) Limits() Limits { return e.cfg.Limits }
 
-// cached is the one result-cache lookup: it returns key's entry, if
-// present, counting the hit and marking it on ctx's span. The submit
-// handler's admission-free fast path and Run both call it.
+// cached is the admission-free result-cache lookup the submit handler
+// makes before Admit: it returns key's entry, if present, as a hit.
 func (e *Engine) cached(ctx context.Context, key string) (*cacheEntry, bool) {
-	e.mu.Lock()
-	ent, ok := e.cache[key]
-	e.mu.Unlock()
-	if !ok {
-		return nil, false
+	ent, ok := e.cache.Get(key)
+	if ok {
+		e.hit(ctx, key, ent)
 	}
+	return ent, ok
+}
+
+// hit counts a cache hit and marks it on ctx's span.
+func (e *Engine) hit(ctx context.Context, key string, ent *cacheEntry) {
 	e.met.hits.Add(1)
 	e.met.cacheAge.Observe(time.Since(ent.at).Seconds())
 	e.spans.Event(ctx, "cache-lookup", "outcome", "hit", "key", shortKey(key))
-	return ent, true
 }
 
 // Admit reserves an admission token, the engine's backpressure unit: at
@@ -208,102 +200,51 @@ func (e *Engine) RetryAfter() time.Duration {
 // both cache hits and dedup joins.
 func (e *Engine) Run(ctx context.Context, r resolved) (*cacheEntry, bool, error) {
 	key := r.key
-	for {
-		if ent, ok := e.cached(ctx, key); ok {
-			return ent, true, nil
-		}
-		e.mu.Lock()
-		if _, ok := e.cache[key]; ok {
-			// Inserted since the lookup: serve it as a hit.
-			e.mu.Unlock()
-			continue
-		}
-		if f, ok := e.flights[key]; ok {
-			e.mu.Unlock()
-			_, wsp := e.spans.Start(ctx, "singleflight-wait")
-			wsp.SetAttr("key", shortKey(key))
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				wsp.SetError(ctx.Err())
-				wsp.Finish()
-				return nil, false, ctx.Err()
-			}
-			wsp.Finish()
-			if isCancel(f.err) {
-				// The owner was cancelled before producing an answer for
-				// this key (and already forgot the flight); race to
-				// become the new owner.
-				continue
-			}
-			e.met.joins.Add(1)
-			return f.ent, f.err == nil, f.err
-		}
-		f := &runFlight{done: make(chan struct{})}
-		e.flights[key] = f
-		e.mu.Unlock()
-
+	wait0 := time.Now()
+	ent, how, err := e.cache.Do(ctx, key, func() (*cacheEntry, error) {
 		e.met.misses.Add(1)
 		e.spans.Event(ctx, "cache-lookup", "outcome", "miss", "key", shortKey(key))
 		res, err := e.simulate(ctx, r)
-		if err == nil {
-			f.ent, err = e.insert(key, res)
-		}
-		f.err = err
-		// A finished flight leaves the map either way: a result moves
-		// into the cache, a failure is forgotten (joiners already hold
-		// f and read its error), so failing keys cannot grow flights
-		// past the cache bound.
 		if err != nil {
-			e.forget(key, f)
+			return nil, err
 		}
-		close(f.done)
-		return f.ent, false, f.err
+		return newCacheEntry(res)
+	})
+	switch how {
+	case memo.Hit:
+		e.hit(ctx, key, ent)
+	case memo.Joined:
+		// The wait is over; its span starts when the wait began.
+		_, wsp := e.spans.Start(ctx, "singleflight-wait")
+		if wsp != nil {
+			wsp.Start = wait0
+		}
+		wsp.SetAttr("key", shortKey(key))
+		if err != nil && err == ctx.Err() {
+			wsp.SetError(err) // this caller's own context ended the wait
+		} else {
+			e.met.joins.Add(1)
+		}
+		wsp.Finish()
 	}
+	return ent, how != memo.Ran && err == nil, err
 }
 
 // isCancel reports errors that carry no information about the config
-// itself — the run was merely interrupted — so a joiner retries rather
-// than taking the owner's error as its own.
+// itself — the run was merely interrupted.
 func isCancel(err error) bool {
 	return err != nil && (errors.Is(err, tcsim.ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// forget drops a flight cell if it is still the registered one.
-func (e *Engine) forget(key string, f *runFlight) {
-	e.mu.Lock()
-	if e.flights[key] == f {
-		delete(e.flights, key)
-	}
-	e.mu.Unlock()
-}
-
-// insert encodes a completed result, once for every response that will
-// carry it, caches it, evicting oldest-inserted entries beyond the cap,
-// and retires the flight cell. A result that cannot be encoded is the
-// run's error.
-func (e *Engine) insert(key string, res tcsim.Result) (*cacheEntry, error) {
+// newCacheEntry encodes a completed result, once for every response that
+// will carry it. A result that cannot be encoded is the run's error.
+func newCacheEntry(res tcsim.Result) (*cacheEntry, error) {
 	raw, err := json.Marshal(&res)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode result: %w", err)
 	}
-	ent := &cacheEntry{res: res, json: raw, at: time.Now()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if old, dup := e.cache[key]; dup {
-		ent = old
-	} else {
-		e.cache[key] = ent
-		e.order = append(e.order, key)
-		for len(e.cache) > e.cfg.CacheEntries {
-			oldest := e.order[0]
-			e.order = e.order[1:]
-			delete(e.cache, oldest)
-		}
-	}
-	delete(e.flights, key)
-	return ent, nil
+	return &cacheEntry{res: res, json: raw, at: time.Now()}, nil
 }
 
 // simulate waits for a worker slot (a visible queue-wait span), then
@@ -421,8 +362,4 @@ func shortKey(key string) string {
 }
 
 // CacheLen reports the number of cached results.
-func (e *Engine) CacheLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.cache)
-}
+func (e *Engine) CacheLen() int { return e.cache.Stats().Entries }

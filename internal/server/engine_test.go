@@ -219,8 +219,8 @@ func TestEngineAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// TestEngineCacheEviction: the cache stays bounded, evicting
-// oldest-inserted entries.
+// TestEngineCacheEviction: the cache stays bounded, evicting the least
+// recently used entry.
 func TestEngineCacheEviction(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 1, CacheEntries: 4})
 	fake := &fakeSim{}
@@ -246,6 +246,22 @@ func TestEngineCacheEviction(t *testing.T) {
 	if _, cached, _ := e.Run(context.Background(), testJob(t, "m88ksim", 10)); !cached {
 		t.Error("recent entry was evicted")
 	}
+
+	// Fill four keys, hit the oldest, add a fifth: the hit key stays and
+	// the second-oldest goes.
+	e = NewEngine(EngineConfig{Workers: 1, CacheEntries: 4})
+	fake.install(e)
+	for _, insts := range []uint64{1, 2, 3, 4, 1, 5} {
+		if _, _, err := e.Run(context.Background(), testJob(t, "m88ksim", insts)); err != nil {
+			t.Fatalf("run %d: %v", insts, err)
+		}
+	}
+	if _, cached, _ := e.Run(context.Background(), testJob(t, "m88ksim", 1)); !cached {
+		t.Error("the oldest entry was evicted although it was just hit")
+	}
+	if _, cached, _ := e.Run(context.Background(), testJob(t, "m88ksim", 2)); cached {
+		t.Error("the least recently used entry was kept")
+	}
 }
 
 // TestEngineTimeout: a job exceeding its timeout fails with a
@@ -262,11 +278,12 @@ func TestEngineTimeout(t *testing.T) {
 		t.Fatalf("Run past timeout: %v, want a cancel-class error", err)
 	}
 	// The key must not be poisoned: a retry becomes the new owner.
-	e.mu.Lock()
-	_, stuck := e.flights[spec.key]
-	e.mu.Unlock()
-	if stuck {
-		t.Error("cancelled flight left registered")
+	close(fake.release)
+	if _, cached, err := e.Run(context.Background(), spec); err != nil || cached {
+		t.Errorf("retry after the timeout: cached=%v err=%v, want a fresh run", cached, err)
+	}
+	if n := fake.startedCount(); n != 2 {
+		t.Errorf("%d simulations started, want 2 (the retry runs)", n)
 	}
 }
 
@@ -294,22 +311,25 @@ func TestEnginePanicFailsTheRun(t *testing.T) {
 	}
 }
 
-// TestEngineFailedRunsLeaveNoFlights: a failed run leaves the flight map
-// as a cancelled one does, so failing keys cannot grow it past the
-// cache bound.
+// TestEngineFailedRunsLeaveNoFlights: a failed run is forgotten as a
+// cancelled one is, so failing keys hold nothing: a repeat runs again
+// instead of joining a finished flight.
 func TestEngineFailedRunsLeaveNoFlights(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 1, CacheEntries: 8})
-	(&fakeSim{err: errors.New("max cycles exceeded")}).install(e)
-	for i := 1; i <= 100; i++ {
-		if _, _, err := e.Run(context.Background(), testJob(t, "m88ksim", uint64(i))); err == nil {
-			t.Fatalf("failing run %d succeeded", i)
+	fake := &fakeSim{err: errors.New("max cycles exceeded")}
+	fake.install(e)
+	for round := 0; round < 2; round++ {
+		for i := 1; i <= 100; i++ {
+			if _, _, err := e.Run(context.Background(), testJob(t, "m88ksim", uint64(i))); err == nil {
+				t.Fatalf("failing run %d succeeded", i)
+			}
 		}
 	}
-	e.mu.Lock()
-	n := len(e.flights)
-	e.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d flight cells left after 100 failed runs, want 0", n)
+	if n := fake.startedCount(); n != 200 {
+		t.Errorf("%d simulations for 100 failing keys run twice, want 200", n)
+	}
+	if n := e.CacheLen(); n != 0 {
+		t.Errorf("%d failures cached, want 0", n)
 	}
 }
 

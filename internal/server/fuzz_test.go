@@ -99,10 +99,9 @@ func FuzzResolveConfig(f *testing.F) {
 // run or an all run; which picks it.
 func FuzzJobEnvelope(f *testing.F) {
 	results := []json.RawMessage{nil}
-	e := NewEngine(EngineConfig{})
 	for _, preset := range []string{client.PresetBaseline, client.PresetAll} {
 		req := client.JobRequest{Workload: "compress", Insts: testInsts, Preset: preset}
-		cfg, key, err := ResolveConfig(&req, Limits{})
+		cfg, _, err := ResolveConfig(&req, Limits{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -110,7 +109,7 @@ func FuzzJobEnvelope(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		ent, err := e.insert(key, res)
+		ent, err := newCacheEntry(res)
 		if err != nil {
 			f.Fatal(err)
 		}

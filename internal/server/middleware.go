@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -28,23 +26,6 @@ const reqIDKey ctxKey = iota
 func requestID(ctx context.Context) string {
 	id, _ := ctx.Value(reqIDKey).(string)
 	return id
-}
-
-// newRequestID mints a 16-hex-digit random ID.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("server: crypto/rand unavailable: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// sanitizeRequestID accepts a client-supplied ID only if it is short
-// and header/log-safe; anything else is replaced rather than propagated
-// into log lines and response headers. The rules are shared with span
-// and trace IDs (obs.SanitizeID) — the request ID is the trace ID.
-func sanitizeRequestID(id string) string {
-	return obs.SanitizeID(id)
 }
 
 // statusWriter captures the response status for the access log.
@@ -77,9 +58,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // request's serve span included) so the context is preserved.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get(reqIDHeader))
+		// The request ID is the trace ID: obs's ID rules accept or mint it.
+		id := obs.SanitizeID(r.Header.Get(reqIDHeader))
 		if id == "" {
-			id = newRequestID()
+			id = obs.NewSpanID()
 		}
 		w.Header().Set(reqIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}

@@ -173,7 +173,7 @@ func writeJob(w http.ResponseWriter, status int, env JobEnvelope) {
 	env.Result = nil
 	head, err := json.Marshal(&env)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "encode job: "+err.Error(), 0)
+		WriteError(w, http.StatusInternalServerError, "internal", "encode job: "+err.Error(), 0)
 		return
 	}
 	head = head[:len(head)-1] // reopen the object
@@ -195,18 +195,14 @@ func writeJob(w http.ResponseWriter, status int, env JobEnvelope) {
 // stored result; jobEnd ends with the newline json.Encoder writes.
 var resultMember, jobEnd = []byte(`,"result":`), []byte("}\n")
 
-func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		secs := int(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		WriteJSON(w, status, client.ErrorBody{Error: client.APIError{
-			Code: code, Message: msg, RetryAfterSecs: secs}})
-		return
+// WriteError writes the wire's error body: tcserved's and tcgate's one
+// error writer. retryAfterSecs > 0 also sets the Retry-After header.
+func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfterSecs int) {
+	if retryAfterSecs > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
 	}
-	WriteJSON(w, status, client.ErrorBody{Error: client.APIError{Code: code, Message: msg}})
+	WriteJSON(w, status, client.ErrorBody{Error: client.APIError{
+		Code: code, Message: msg, RetryAfterSecs: retryAfterSecs}})
 }
 
 // writeRunError maps an engine/run error onto the wire.
@@ -214,29 +210,31 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	var br *badRequest
 	switch {
 	case errors.As(err, &br):
-		writeError(w, http.StatusBadRequest, "invalid_argument", br.msg, 0)
+		WriteError(w, http.StatusBadRequest, "invalid_argument", br.msg, 0)
 	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "queue_full",
-			"all workers busy and the wait queue is full", s.engine.RetryAfter())
+		WriteError(w, http.StatusTooManyRequests, "queue_full",
+			"all workers busy and the wait queue is full", int(s.engine.RetryAfter()/time.Second))
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"server is shutting down", 2*time.Second)
+		WriteError(w, http.StatusServiceUnavailable, "draining",
+			"server is shutting down", 2)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "timeout", err.Error(), 0)
+		WriteError(w, http.StatusGatewayTimeout, "timeout", err.Error(), 0)
 	case isCancel(err):
 		// Client went away; the status is moot but keep the map total.
-		writeError(w, 499, "canceled", err.Error(), 0)
+		WriteError(w, 499, "canceled", err.Error(), 0)
 	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
+		WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 	}
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
+// DecodeBody decodes r's JSON body, of at most maxBytes, into v, and
+// rejects unknown fields: both daemons' one body decoder. On failure it
+// answers 400 and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
+		WriteError(w, http.StatusBadRequest, "invalid_argument",
 			"malformed request body: "+err.Error(), 0)
 		return false
 	}
@@ -252,7 +250,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(r.Context())
 	var req client.JobRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	serve := obs.SpanFrom(r.Context())
@@ -359,7 +357,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
 		return
 	}
@@ -371,7 +369,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 // slots and per-job timeout, exactly as POST /v1/jobs), aggregate.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req client.SweepRequest
-	if !s.decode(w, r, &req) {
+	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
 	cells, err := resolveSweep(&req, s.engine.Limits())
@@ -428,8 +426,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // so routing stops strictly before work does.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"server is draining and should receive no new work", 2*time.Second)
+		WriteError(w, http.StatusServiceUnavailable, "draining",
+			"server is draining and should receive no new work", 2)
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -451,20 +449,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	sha := r.PathValue("sha")
 	name, ok := tracestore.WorkloadByHash(sha)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no bundled workload builds a program with hash %q", sha), 0)
 		return
 	}
 	budget, err := strconv.ParseUint(r.URL.Query().Get("budget"), 10, 64)
 	if err != nil || budget == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
+		WriteError(w, http.StatusBadRequest, "invalid_argument",
 			"budget query parameter must be a positive integer", 0)
 		return
 	}
 	raw, err := s.traceStore().ExportBytes(name, budget, r.Method != http.MethodHead)
 	switch {
 	case errors.Is(err, tracestore.ErrUnavailable):
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("trace for %s@%d is not resident on this node", name, budget), 0)
 		return
 	case err != nil:
@@ -472,7 +470,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// so loudly — the peer will capture live instead.
 		s.log.Warn("trace export rejected", "request_id", requestID(r.Context()),
 			"workload", name, "budget", budget, "error", err.Error())
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
+		WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeTrace)

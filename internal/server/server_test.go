@@ -103,10 +103,7 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	}
 
 	// The cached repeat's key was evicted; its job still answers.
-	srv.engine.mu.Lock()
-	_, resident := srv.engine.cache[wantKey]
-	srv.engine.mu.Unlock()
-	if resident {
+	if _, resident := srv.engine.cache.Get(wantKey); resident {
 		t.Fatal("a one-entry cache still holds the first key after another job")
 	}
 	polled, err := cl.GetJob(ctx, again.ID)
@@ -557,11 +554,15 @@ func TestCacheHitAllocationsFlat(t *testing.T) {
 		}
 		serve() // the miss that simulates and caches the result
 		serve() // a first hit, which fills the encoder's pooled buffer
-		srv.engine.mu.Lock()
-		for _, ent := range srv.engine.cache {
-			resultLen = max(resultLen, len(ent.json))
+		_, key, err := ResolveConfig(&req, Limits{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		srv.engine.mu.Unlock()
+		ent, ok := srv.engine.cache.Get(key)
+		if !ok {
+			t.Fatalf("%s: the result is not cached", req.Workload)
+		}
+		resultLen = len(ent.json)
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -343,5 +344,109 @@ func TestSweepCellSpans(t *testing.T) {
 		if p := children[c.SpanID]["run"].Attrs["phase"]; p != "capture" && p != "replay" {
 			t.Errorf("sweep-cell %v run phase = %q, want capture or replay", c.Attrs, p)
 		}
+	}
+}
+
+// doneSignal is a request context that signals on waiting when its Done
+// channel is first asked for. A job request asks for it only to wait:
+// on another request's simulation of its key, or for a worker slot.
+type doneSignal struct {
+	context.Context
+	waiting chan struct{}
+}
+
+func (c doneSignal) Done() <-chan struct{} {
+	select {
+	case c.waiting <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// TestConcurrentJobsJoinOneSimulation: a second POST /v1/jobs for a key
+// whose simulation is running joins it. One simulation runs, the join is
+// counted, and a singleflight-wait span carrying the key sits under the
+// second request's serve span.
+func TestConcurrentJobsJoinOneSimulation(t *testing.T) {
+	srv := New(Config{})
+	fake := &fakeSim{release: make(chan struct{})}
+	fake.install(srv.engine)
+	const rid2 = "join-second"
+	waiting := make(chan struct{}, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(reqIDHeader) == rid2 {
+			r = r.WithContext(doneSignal{r.Context(), waiting})
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	})
+	cl := client.New(hs.URL)
+	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts}
+	_, key, err := ResolveConfig(req, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type answer struct {
+		job *client.Job
+		err error
+	}
+	submit := func(ctx context.Context) <-chan answer {
+		out := make(chan answer, 1)
+		go func() {
+			job, err := cl.SubmitJob(ctx, req)
+			out <- answer{job, err}
+		}()
+		return out
+	}
+	first := submit(context.Background())
+	for deadline := time.Now().Add(5 * time.Second); fake.startedCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first request never started its simulation")
+		}
+	}
+	second := submit(client.WithRequestID(context.Background(), rid2))
+	<-waiting // the second request waits on the first's simulation
+	close(fake.release)
+
+	for i, ch := range []<-chan answer{first, second} {
+		a := <-ch
+		if a.err != nil {
+			t.Fatalf("request %d: %v", i+1, a.err)
+		}
+		if a.job.Cached != (i == 1) {
+			t.Errorf("request %d: cached = %v, want only the joined one cached", i+1, a.job.Cached)
+		}
+	}
+	if n := fake.startedCount(); n != 1 {
+		t.Errorf("%d simulations started for two concurrent requests of one key, want 1", n)
+	}
+	met, err := cl.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := met[`tcserved_cache_requests_total{result="join"}`]; got != 1 {
+		t.Errorf(`tcserved_cache_requests_total{result="join"} = %v, want 1`, got)
+	}
+
+	spans := waitSpans(t, srv, rid2, "POST /v1/jobs")
+	var serveID string
+	for _, s := range spans {
+		if s.Name == "POST /v1/jobs" {
+			serveID = s.SpanID
+		}
+	}
+	var joined bool
+	for _, s := range spans {
+		if s.Name == "singleflight-wait" && s.ParentID == serveID && s.Attrs["key"] == shortKey(key) {
+			joined = true
+		}
+	}
+	if !joined {
+		t.Errorf("no singleflight-wait span with key %s under the second request's serve span: %v",
+			shortKey(key), names(spans))
 	}
 }

@@ -106,22 +106,14 @@ func (s *Store) ExportBytes(name string, budget uint64, count bool) ([]byte, err
 	if budget == 0 {
 		return nil, fmt.Errorf("tracestore: budget must be resolved (non-zero) for %q", name)
 	}
-	k := key{name: name, budget: budget}
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if ok {
-		s.touch(e)
-	}
-	dir := s.dir
-	s.mu.Unlock()
-
-	if ok {
-		raw := encodeTrace(e.ent.Trace, e.ent.Prog)
+	if e, ok := s.traces.Get(key{name: name, budget: budget}); ok {
+		raw := encodeTrace(e.Trace, e.Prog)
 		if count {
 			s.cdnServes.Add(1)
 		}
 		return raw, nil
 	}
+	dir := s.Dir()
 	if dir == "" {
 		return nil, ErrUnavailable
 	}

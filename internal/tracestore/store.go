@@ -10,6 +10,7 @@ import (
 
 	"tcsim/internal/asm"
 	"tcsim/internal/emu"
+	"tcsim/internal/memo"
 	"tcsim/internal/obs"
 	"tcsim/internal/workload"
 )
@@ -70,37 +71,19 @@ type key struct {
 	ckpt   bool // checkpoint-only log, not a full trace
 }
 
-type entry struct {
-	key   key
-	ent   *Entry
-	bytes int64
-	prev  *entry
-	next  *entry
-}
-
-type captureFlight struct {
-	done chan struct{}
-	ent  *Entry
-	err  error
-}
-
 // Store is a bounded, process-wide LRU of captured traces with
 // singleflight capture: concurrent Gets for the same (workload, budget)
-// run one capture and share it. Safe for concurrent use.
+// run one capture and share it. The cache is an internal/memo cache
+// priced in trace bytes. Safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	maxBytes int64
-	entries  map[key]*entry
-	head     *entry // most recently used
-	tail     *entry // least recently used
-	bytes    int64
-	flights  map[key]*captureFlight
-	dir      string  // on-disk trace directory ("" = memory only)
-	fetcher  Fetcher // peer-fetch hook for the trace CDN (nil = disabled)
+	traces *memo.Cache[key, *Entry]
+
+	mu      sync.Mutex // guards dir and fetcher
+	dir     string     // on-disk trace directory ("" = memory only)
+	fetcher Fetcher    // peer-fetch hook for the trace CDN (nil = disabled)
 
 	captures     atomic.Uint64
 	replayHits   atomic.Uint64
-	evictions    atomic.Uint64
 	captureNanos atomic.Int64
 	diskLoads    atomic.Uint64
 	diskSaves    atomic.Uint64
@@ -121,11 +104,7 @@ func NewStore(maxBytes int64) *Store {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Store{
-		maxBytes: maxBytes,
-		entries:  make(map[key]*entry),
-		flights:  make(map[key]*captureFlight),
-	}
+	return &Store{traces: memo.New[key](maxBytes, func(e *Entry) int64 { return e.Trace.Bytes() })}
 }
 
 var shared = NewStore(0)
@@ -157,15 +136,13 @@ func (s *Store) Dir() string {
 
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	bytes, n := s.bytes, len(s.entries)
-	s.mu.Unlock()
+	held := s.traces.Stats()
 	return Stats{
 		Captures:       s.captures.Load(),
 		ReplayHits:     s.replayHits.Load(),
-		Evictions:      s.evictions.Load(),
-		ResidentBytes:  bytes,
-		ResidentTraces: n,
+		Evictions:      held.Evictions,
+		ResidentBytes:  held.Cost,
+		ResidentTraces: held.Entries,
 		CaptureNanos:   s.captureNanos.Load(),
 		DiskLoads:      s.diskLoads.Load(),
 		DiskSaves:      s.diskSaves.Load(),
@@ -228,47 +205,28 @@ func (s *Store) Source(ctx context.Context, w workload.Workload, budget uint64, 
 	return w.Build(), nil, nil, "live"
 }
 
+// get serves k from the cache, by joining a concurrent capture, or by
+// capturing it. It waits under context.WithoutCancel: a capture is shared,
+// so no caller's context may cancel it (see GetCtx).
 func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {
 	if k.budget == 0 {
 		return nil, OutcomeReplay, fmt.Errorf("tracestore: budget must be resolved (non-zero) for %q", k.name)
 	}
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[k]; ok {
-			s.touch(e)
-			s.mu.Unlock()
-			s.replayHits.Add(1)
-			obs.SpanFrom(ctx).SetAttr("phase", OutcomeReplay.String())
-			return e.ent, OutcomeReplay, nil
-		}
-		if f, ok := s.flights[k]; ok {
-			s.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, OutcomeReplay, f.err
-			}
-			// Joined a concurrent capture: for this caller it is a
-			// replay — the work was not repeated.
-			s.replayHits.Add(1)
-			obs.SpanFrom(ctx).SetAttr("phase", OutcomeReplay.String())
-			return f.ent, OutcomeReplay, nil
-		}
-		f := &captureFlight{done: make(chan struct{})}
-		s.flights[k] = f
-		dir := s.dir
-		s.mu.Unlock()
-
-		f.ent, f.err = s.capture(ctx, k, dir)
-		s.mu.Lock()
-		if f.err == nil {
-			s.insert(k, f.ent)
-		}
-		delete(s.flights, k)
-		s.mu.Unlock()
-		close(f.done)
+	ent, how, err := s.traces.Do(context.WithoutCancel(ctx), k, func() (*Entry, error) {
+		return s.capture(ctx, k)
+	})
+	if how == memo.Ran {
 		obs.SpanFrom(ctx).SetAttr("phase", OutcomeCapture.String())
-		return f.ent, OutcomeCapture, f.err
+		return ent, OutcomeCapture, err
 	}
+	if err != nil {
+		return nil, OutcomeReplay, err
+	}
+	// A joined capture is a replay too: for this caller the work was not
+	// repeated.
+	s.replayHits.Add(1)
+	obs.SpanFrom(ctx).SetAttr("phase", OutcomeReplay.String())
+	return ent, OutcomeReplay, nil
 }
 
 // capture builds the program and captures its stream, preferring the
@@ -278,7 +236,7 @@ func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {
 // through to the next source. ctx only carries tracing identity — a
 // "trace-capture" span recording which source satisfied the capture —
 // never cancellation (see GetCtx).
-func (s *Store) capture(ctx context.Context, k key, dir string) (*Entry, error) {
+func (s *Store) capture(ctx context.Context, k key) (*Entry, error) {
 	ctx, csp := obs.StartSpan(ctx, "trace-capture")
 	csp.SetAttr("workload", k.name)
 	defer csp.Finish()
@@ -293,6 +251,9 @@ func (s *Store) capture(ctx context.Context, k key, dir string) (*Entry, error) 
 	if k.ckpt {
 		csp.SetAttr("kind", "ckpt-log")
 	}
+	s.mu.Lock()
+	dir, fetch := s.dir, s.fetcher
+	s.mu.Unlock()
 
 	if dir != "" {
 		tr, file, err := loadTrace(dir, k.name, k.budget, prog, k.ckpt)
@@ -311,9 +272,6 @@ func (s *Store) capture(ctx context.Context, k key, dir string) (*Entry, error) 
 		}
 	}
 
-	s.mu.Lock()
-	fetch := s.fetcher
-	s.mu.Unlock()
 	// Checkpoint logs are not served over the trace CDN: they are cheap
 	// to regenerate (one functional pass) and budget-specific, so the
 	// peer-fetch protocol stays a single-kind exchange.
@@ -385,64 +343,6 @@ func (s *Store) capture(ctx context.Context, k key, dir string) (*Entry, error) 
 	return &Entry{Prog: prog, Trace: tr}, nil
 }
 
-// --- LRU internals (s.mu held) ---
-
-func (s *Store) touch(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *Store) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) pushFront(e *entry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *Store) insert(k key, ent *Entry) {
-	if _, dup := s.entries[k]; dup {
-		return
-	}
-	e := &entry{key: k, ent: ent, bytes: ent.Trace.Bytes()}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += e.bytes
-	for s.bytes > s.maxBytes && s.tail != nil && s.tail != e {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.bytes
-		s.evictions.Add(1)
-	}
-}
-
 // Reset drops every resident trace and zeroes nothing else (counters
 // keep accumulating). Test hook.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	s.entries = make(map[key]*entry)
-	s.head, s.tail = nil, nil
-	s.bytes = 0
-	s.mu.Unlock()
-}
+func (s *Store) Reset() { s.traces.Clear() }
