@@ -94,6 +94,10 @@ type JobRequest struct {
 // return it in the terminal state; async submissions return it queued
 // and GET /v1/jobs/{id} polls it forward.
 type Job struct {
+	// ID names the job for GET /v1/jobs/{id}, which answers for the
+	// daemon's -job-ttl after the job finishes, or until 4096 newer jobs
+	// have finished on its node. A sync cache hit's ID does not poll:
+	// its caller already holds the answer, so the daemon keeps no record.
 	ID    string `json:"id"`
 	State string `json:"state"`
 	// Key is the canonical config hash the result cache is keyed by;

@@ -12,7 +12,7 @@
 // Endpoints:
 //
 //	POST /v1/jobs            submit a job (sync; ?async=1 to poll instead)
-//	GET  /v1/jobs/{id}       poll an async job
+//	GET  /v1/jobs/{id}       poll a job: any but a sync cache hit, for -job-ttl
 //	POST /v1/sweeps          batch workloads x configs; each cell runs as a job
 //	GET  /v1/passes          registered fill-unit optimization passes
 //	GET  /v1/policies        registered cache replacement policies
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue      = fs.Int("queue", 0, "admitted jobs beyond the running ones (0 = 4*workers, <0 = none)")
 		cacheSize  = fs.Int("cache", 4096, "result cache entries; the least recently used is evicted first")
-		jobTTL     = fs.Duration("job-ttl", 10*time.Minute, "how long finished async jobs stay pollable")
+		jobTTL     = fs.Duration("job-ttl", 10*time.Minute, "how long a finished job stays pollable (sync cache hits keep no record; a node keeps at most 4096)")
 		jobTimeout = fs.Duration("job-timeout", 60*time.Second, "default per-job wall-clock cap")
 		maxTimeout = fs.Duration("max-job-timeout", 5*time.Minute, "upper bound on requested per-job timeouts")
 		maxInsts   = fs.Uint64("max-insts", 50_000_000, "per-job retired-instruction cap (0 = unlimited)")

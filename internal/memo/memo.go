@@ -3,7 +3,9 @@
 // later caller; callers that ask while it is being built wait for that
 // build instead of repeating it. It is the fill unit's rule — build a
 // trace once, off the critical path, and serve it many times — applied to
-// tcserved's result cache, the figures' run memo and the trace store.
+// tcserved's result cache, the figures' run memo and the trace store. Its
+// bound, least recently used out first, also caps how many finished job
+// records a tcserved node keeps pollable.
 package memo
 
 import (
@@ -47,6 +49,8 @@ type Stats struct {
 //     else has taken over.
 //   - A run that panics fails like a run that returns an error, so its
 //     key is not left waiting; the panic goes on up the owner's stack.
+//   - A value given to Put is kept as a success is, in place of any
+//     value cached under its key.
 //
 // Create one with New. It is safe for concurrent use.
 type Cache[K comparable, V any] struct {
@@ -155,9 +159,21 @@ func (c *Cache[K, V]) own(key K, f *flight[V], run func() (V, error)) (V, Outcom
 	return f.val, Ran, f.err
 }
 
-// add caches a new value, then evicts from the least recently used end
-// while the bound is exceeded, never the value just added. c.mu is held.
+// Put caches v under key, as a successful run would: it replaces any
+// value cached there, and evicts by the same rules, never v.
+func (c *Cache[K, V]) Put(key K, v V) {
+	c.mu.Lock()
+	c.add(key, v)
+	c.mu.Unlock()
+}
+
+// add caches v under key, replacing any value there, then evicts from
+// the least recently used end while the bound is exceeded, never the
+// value just added. c.mu is held.
 func (c *Cache[K, V]) add(key K, v V) {
+	if el, ok := c.entries[key]; ok {
+		c.total -= c.lru.Remove(el).(*entry[K, V]).cost
+	}
 	e := &entry[K, V]{key: key, val: v, cost: 1}
 	if c.cost != nil {
 		e.cost = c.cost(v)

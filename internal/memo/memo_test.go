@@ -257,6 +257,48 @@ func TestEvictsLeastRecentlyUsedByCost(t *testing.T) {
 	}
 }
 
+// TestPut: a value given to Put replaces the key's value, counts at its
+// own cost, is a hit for Do, and evicts the least recently used values,
+// never itself.
+func TestPut(t *testing.T) {
+	c := New[string, int](10, func(v int) int64 { return int64(v) })
+	c.Put("a", 4)
+	c.Put("b", 4)
+	c.Put("a", 5) // replaces a, which is now more recent than b
+	if st := c.Stats(); st != (Stats{Entries: 2, Cost: 9}) {
+		t.Errorf("stats = %+v, want a replaced: 2 entries, cost 9", st)
+	}
+	c.Put("c", 4)
+	if _, ok := c.Get("b"); ok {
+		t.Error("b, the least recently used, was not evicted")
+	}
+	if v, _, err := c.Do(context.Background(), "a", func() (int, error) {
+		t.Error("a put key ran")
+		return 0, nil
+	}); v != 5 || err != nil {
+		t.Errorf("Do after Put = (%d, %v), want the put 5", v, err)
+	}
+	c.Put("d", 20)
+	if st := c.Stats(); st != (Stats{Entries: 1, Cost: 20, Evictions: 3}) {
+		t.Errorf("stats = %+v, want d alone: 1 entry, cost 20, 3 evictions", st)
+	}
+	if v, ok := c.Get("d"); !ok || v != 20 {
+		t.Error("Put evicted the value it added")
+	}
+
+	// A run in flight when its key is put replaces the put value.
+	u := New[string, int](0, nil)
+	g := newGatedRun()
+	owner := start(u, context.Background(), "k", g.run(3, nil))
+	<-g.started
+	u.Put("k", 2)
+	close(g.release)
+	<-owner
+	if v, _ := u.Get("k"); v != 3 || u.Stats() != (Stats{Entries: 1, Cost: 1}) {
+		t.Errorf("after a run over a put value: %d, %+v; want 3 alone", v, u.Stats())
+	}
+}
+
 func TestConcurrentKeysUnderRace(t *testing.T) {
 	c := New[int, int](16, nil)
 	var runs atomic.Int32

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 
 	"tcsim/internal/obs"
@@ -26,11 +25,8 @@ func DebugSpans(sp *obs.Spanner) http.HandlerFunc {
 // timeline when the run captured one. Load the output in
 // chrome://tracing or ui.perfetto.dev.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
+	j, ok := s.lookupJob(w, r)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
 		return
 	}
 	j.mu.Lock()

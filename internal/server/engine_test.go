@@ -376,29 +376,63 @@ func TestDrainDeadline(t *testing.T) {
 	}
 }
 
-func TestJobStoreTTL(t *testing.T) {
+// TestJobStoreBound: finished records are capped at maxFinishedJobs,
+// least recently used out first, while a queued or running record is
+// never evicted, and a finished record answers not-found after its TTL.
+func TestJobStoreBound(t *testing.T) {
 	s := newJobStore(time.Minute)
-	defer s.close()
-	j := s.create("k", "r1")
-	j.finish(&cacheEntry{}, false, nil, 0, time.Minute)
-	if _, ok := s.get(j.id); !ok {
-		t.Fatal("fresh job missing")
+	finish := func(j *job) {
+		j.finish(&cacheEntry{}, false, nil, 0)
+		s.keep(j)
 	}
-	s.sweep(time.Now().Add(2 * time.Minute))
-	if _, ok := s.get(j.id); ok {
-		t.Fatal("expired job survived the sweep")
+	live := s.create("live", "r")
+	var finished []*job
+	for i := 0; i <= maxFinishedJobs; i++ {
+		j := s.create(fmt.Sprint(i), "r")
+		finish(j)
+		finished = append(finished, j)
 	}
-	// Unfinished jobs never expire.
-	j2 := s.create("k2", "r2")
-	s.sweep(time.Now().Add(24 * time.Hour))
-	if _, ok := s.get(j2.id); !ok {
-		t.Fatal("running job was garbage-collected")
+	if _, ok := s.get(finished[0].id); ok {
+		t.Errorf("%d finished records kept the oldest", len(finished))
 	}
+	if _, ok := s.get(finished[1].id); !ok {
+		t.Errorf("%d finished records evicted more than the oldest", len(finished))
+	}
+	if got := s.records(); got != maxFinishedJobs+1 {
+		t.Errorf("store holds %d records, want %d finished and 1 live", got, maxFinishedJobs)
+	}
+	for len(finished) < 2*maxFinishedJobs {
+		j := s.create(fmt.Sprint(len(finished)), "r")
+		finish(j)
+		finished = append(finished, j)
+	}
+	if j, ok := s.get(live.id); !ok || j.wire().State != client.StateQueued {
+		t.Fatalf("the record left queued did not survive %d finishes", len(finished))
+	}
+	finish(live)
+	if j, ok := s.get(live.id); !ok || j.wire().State != client.StateDone {
+		t.Fatal("a record that finished last is not pollable")
+	}
+
+	short := newJobStore(time.Millisecond)
+	j := short.create("k", "r")
+	j.finish(&cacheEntry{}, false, nil, 0)
+	short.keep(j)
+	time.Sleep(5 * time.Millisecond)
+	if _, ok := short.get(j.id); ok {
+		t.Error("a record read after its TTL was found")
+	}
+}
+
+// records counts the records s holds, live and finished.
+func (s *jobStore) records() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.live) + s.done.Stats().Entries
 }
 
 func TestJobStoreIDsUnique(t *testing.T) {
 	s := newJobStore(time.Minute)
-	defer s.close()
 	seen := make(map[string]bool)
 	for i := 0; i < 100; i++ {
 		j := s.create(fmt.Sprint(i), "r")
@@ -430,7 +464,6 @@ func TestLeadingJobID(t *testing.T) {
 	}
 
 	s := newJobStore(time.Minute)
-	defer s.close()
 	j := s.create("k", "r")
 	rec := httptest.NewRecorder()
 	writeJob(rec, http.StatusOK, j.wire())

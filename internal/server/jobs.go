@@ -2,13 +2,13 @@ package server
 
 import (
 	"bytes"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"time"
 
 	"tcsim/client"
+	"tcsim/internal/memo"
+	"tcsim/internal/obs"
 )
 
 // job is one submission's record.
@@ -22,8 +22,7 @@ type job struct {
 	ent     *cacheEntry // the result, shared with the cache; nil until done
 	errMsg  string
 	wall    time.Duration
-	doneAt  time.Time // zero until terminal
-	expires time.Time // zero until terminal; GC'd after
+	expires time.Time // set by jobStore.keep; not found after
 }
 
 // JobEnvelope is a job on the wire with its result left encoded: the
@@ -90,13 +89,11 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *job) finish(ent *cacheEntry, cached bool, err error, wall time.Duration, ttl time.Duration) {
+func (j *job) finish(ent *cacheEntry, cached bool, err error, wall time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.wall = wall
 	j.cached = cached
-	j.doneAt = time.Now()
-	j.expires = j.doneAt.Add(ttl)
 	if err != nil {
 		j.state = client.StateFailed
 		j.errMsg = err.Error()
@@ -106,83 +103,70 @@ func (j *job) finish(ent *cacheEntry, cached bool, err error, wall time.Duration
 	j.ent = ent
 }
 
-// jobStore indexes every job by ID, sync and async, cache hits
-// included, so any job the daemon answered stays pollable through
-// GET /v1/jobs/{id}; it garbage-collects finished ones after their TTL,
-// bounding memory under sustained load.
-type jobStore struct {
-	ttl time.Duration
-
-	mu   sync.Mutex
-	jobs map[string]*job
-
-	stop chan struct{}
-	once sync.Once
+// newJob returns a queued record with a fresh ID, stored nowhere yet,
+// remembering the submitting request's ID so the job's spans stay
+// findable by trace.
+func newJob(key, rid string) *job {
+	return &job{id: "j" + obs.NewSpanID(), key: key, rid: rid, state: client.StateQueued}
 }
 
-// newJobStore starts a store whose janitor wakes at ttl/4 (minimum
-// 100ms) to sweep expired jobs. ttl <= 0 selects 10 minutes.
+// maxFinishedJobs bounds the finished records a node keeps pollable.
+const maxFinishedJobs = 4096
+
+// jobStore keeps the record of every job someone can come back for:
+// each admitted job, sync or async, whose ID names a run that
+// /debug/trace/{id} can merge, and each ?async=1 cache hit. A sync cache
+// hit keeps none; its caller already holds the answer. Queued and
+// running records sit in live, which admission bounds at Workers+Queue,
+// and are never evicted. A finished record answers GET /v1/jobs/{id}
+// for the store's TTL, or until maxFinishedJobs newer records have
+// finished, whichever comes first; a poll makes it recently used.
+type jobStore struct {
+	ttl  time.Duration
+	done *memo.Cache[string, *job]
+
+	mu   sync.Mutex
+	live map[string]*job
+}
+
+// newJobStore returns an empty store. ttl <= 0 selects 10 minutes.
 func newJobStore(ttl time.Duration) *jobStore {
 	if ttl <= 0 {
 		ttl = 10 * time.Minute
 	}
-	s := &jobStore{ttl: ttl, jobs: make(map[string]*job), stop: make(chan struct{})}
-	go s.janitor()
-	return s
+	return &jobStore{ttl: ttl, done: memo.New[string, *job](maxFinishedJobs, nil), live: make(map[string]*job)}
 }
 
-func (s *jobStore) janitor() {
-	period := s.ttl / 4
-	if period < 100*time.Millisecond {
-		period = 100 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.sweep(time.Now())
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// sweep removes jobs whose TTL elapsed. Exposed (lowercase) for tests
-// to trigger deterministically.
-func (s *jobStore) sweep(now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, j := range s.jobs {
-		j.mu.Lock()
-		expired := !j.expires.IsZero() && now.After(j.expires)
-		j.mu.Unlock()
-		if expired {
-			delete(s.jobs, id)
-		}
-	}
-}
-
-// create registers a new queued job with a fresh random ID, remembering
-// the submitting request's ID so the job's spans stay findable by trace.
+// create registers a new queued job as live.
 func (s *jobStore) create(key, rid string) *job {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("server: crypto/rand unavailable: " + err.Error())
-	}
-	j := &job{id: "j" + hex.EncodeToString(b[:]), key: key, rid: rid, state: client.StateQueued}
+	j := newJob(key, rid)
 	s.mu.Lock()
-	s.jobs[j.id] = j
+	s.live[j.id] = j
 	s.mu.Unlock()
 	return j
 }
 
-func (s *jobStore) get(id string) (*job, bool) {
+// keep moves the finished record j into the finished records, to expire
+// after the store's TTL. It enters them before it leaves live, and get
+// looks in live first, so a reader finds a record at every moment.
+func (s *jobStore) keep(j *job) {
+	j.expires = time.Now().Add(s.ttl)
+	s.done.Put(j.id, j)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	delete(s.live, j.id)
+	s.mu.Unlock()
 }
 
-// close stops the janitor.
-func (s *jobStore) close() { s.once.Do(func() { close(s.stop) }) }
+func (s *jobStore) get(id string) (*job, bool) {
+	s.mu.Lock()
+	j, ok := s.live[id]
+	s.mu.Unlock()
+	if ok {
+		return j, true
+	}
+	// keep set expires before j entered done, and nothing sets it again.
+	if j, ok = s.done.Get(id); ok && time.Now().Before(j.expires) {
+		return j, true
+	}
+	return nil, false
+}

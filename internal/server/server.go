@@ -21,7 +21,8 @@ import (
 // Config assembles a Server.
 type Config struct {
 	Engine EngineConfig
-	// JobTTL is how long finished async jobs remain pollable (0 = 10m).
+	// JobTTL is how long a finished job stays pollable (0 = 10m). A node
+	// keeps at most 4096 finished jobs, and none for a sync cache hit.
 	JobTTL time.Duration
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
@@ -134,9 +135,9 @@ func (s *Server) dumpFlightOn5xx() {
 // the listener and call Shutdown. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Shutdown drains the server: no new work is admitted, every admitted
-// job (sync and async) finishes or ctx expires, then background state
-// is released. Call http.Server.Shutdown first so no requests arrive
+// Shutdown drains the server: no new work is admitted, and every
+// admitted job (sync and async) finishes, or is cancelled once ctx
+// expires. Call http.Server.Shutdown first so no requests arrive
 // concurrently; async jobs survive their submitting request, which is
 // why the engine drain is separate.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -147,7 +148,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// goroutines exit promptly rather than leaking.
 		s.cancelBase()
 	}
-	s.jobs.close()
 	return err
 }
 
@@ -267,16 +267,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") == "1"
 
 	// Cache hits are free: serve them without consuming admission, so a
-	// full queue never rejects an already-computed answer.
+	// full queue never rejects an already-computed answer. Only an async
+	// caller comes back for the record; a sync caller holds the answer,
+	// so a sync hit keeps none.
 	if ent, ok := s.engine.cached(r.Context(), key); ok {
 		s.engine.met.completed.Add(1)
-		j := s.jobs.create(key, rid)
-		j.finish(ent, true, nil, 0, s.jobs.ttl)
+		j := newJob(key, rid)
+		j.finish(ent, true, nil, 0)
 		s.log.Info("job cache hit", "trace_id", rid, "request_id", rid,
 			"span_id", serve.ID(), "job_id", j.id,
 			"key", key, "workload", rj.workload)
 		status := http.StatusOK
 		if async {
+			s.jobs.keep(j)
 			status = http.StatusAccepted
 		}
 		writeJob(w, status, j.wire())
@@ -338,7 +341,8 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 	t0 := time.Now()
 	ent, cached, err := s.engine.Run(ctx, rj)
 	wall := time.Since(t0)
-	j.finish(ent, cached, err, wall, s.jobs.ttl)
+	j.finish(ent, cached, err, wall)
+	s.jobs.keep(j)
 	if err != nil {
 		s.engine.met.failed.Add(1)
 		s.log.Error("job failed", "trace_id", rid, "request_id", rid, "span_id", sid,
@@ -354,14 +358,22 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 
 // handleGetJob implements GET /v1/jobs/{id}.
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.lookupJob(w, r); ok {
+		writeJob(w, http.StatusOK, j.wire())
+	}
+}
+
+// lookupJob returns the record of the job r's path names, or answers
+// 404 and returns false.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("no job %q (unknown, or expired after %v)", id, s.jobs.ttl), 0)
-		return
+		WriteError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no job %q: unknown, "+
+			"finished more than %v ago or pushed out by %d newer ones, "+
+			"or a synchronous cache hit, which keeps no record", id, s.jobs.ttl, maxFinishedJobs), 0)
 	}
-	writeJob(w, http.StatusOK, j.wire())
+	return j, ok
 }
 
 // handleSweep implements POST /v1/sweeps: resolve the cross product,

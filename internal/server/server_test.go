@@ -37,11 +37,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 }
 
 // TestEndToEndJobDeterminism is the core serving contract: a job
-// submitted over HTTP — sync, async+poll, and a cached repeat — returns
-// bit-for-bit the result of a direct tcsim.Run of the same config,
-// across the real JSON round trip. The cache holds one entry, so the
-// async job evicts the cached repeat's result, which its job record must
-// still serve.
+// submitted over HTTP — sync, async+poll, and a cached repeat, sync and
+// async — returns bit-for-bit the result of a direct tcsim.Run of the
+// same config, across the real JSON round trip. The cache holds one
+// entry, so the async job evicts the cached repeat's result, which the
+// async repeat's job record must still serve.
 func TestEndToEndJobDeterminism(t *testing.T) {
 	srv, cl := newTestServer(t, Config{Engine: EngineConfig{CacheEntries: 1}})
 	ctx := context.Background()
@@ -82,6 +82,20 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(*again.Result, expected) {
 		t.Error("cached result differs from direct run")
 	}
+	// A sync hit keeps no record, so its ID does not poll.
+	if _, err := cl.GetJob(ctx, again.ID); err == nil {
+		t.Error("a sync cache hit's ID polls")
+	} else if apiErr, ok := err.(*client.APIError); !ok || apiErr.Status != http.StatusNotFound ||
+		!strings.Contains(apiErr.Message, "synchronous cache hit") {
+		t.Errorf("polling a sync cache hit: %v, want a 404 that names it", err)
+	}
+	asyncHit, err := cl.SubmitJobAsync(ctx, req)
+	if err != nil {
+		t.Fatalf("repeat SubmitJobAsync: %v", err)
+	}
+	if asyncHit.State != client.StateDone || !asyncHit.Cached {
+		t.Errorf("async repeat: state %q, cached %v; want done from the cache", asyncHit.State, asyncHit.Cached)
+	}
 
 	// Async + poll, different config so it actually runs.
 	areq := &client.JobRequest{Workload: "m88ksim", Insts: testInsts} // baseline
@@ -102,11 +116,12 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 		t.Error("async served result differs from direct run")
 	}
 
-	// The cached repeat's key was evicted; its job still answers.
+	// The cached repeat's key was evicted; the async repeat's job still
+	// answers.
 	if _, resident := srv.engine.cache.Get(wantKey); resident {
 		t.Fatal("a one-entry cache still holds the first key after another job")
 	}
-	polled, err := cl.GetJob(ctx, again.ID)
+	polled, err := cl.GetJob(ctx, asyncHit.ID)
 	if err != nil {
 		t.Fatalf("GetJob after eviction: %v", err)
 	}
@@ -120,8 +135,8 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, misses := met[`tcserved_cache_requests_total{result="hit"}`], met[`tcserved_cache_requests_total{result="miss"}`]
-	if completed := met[`tcserved_jobs_total{event="completed"}`]; hits == 0 || misses == 0 || completed != 3 {
-		t.Errorf("metrics: hits %v misses %v completed %v, want >0, >0, 3", hits, misses, completed)
+	if completed := met[`tcserved_jobs_total{event="completed"}`]; hits == 0 || misses == 0 || completed != 4 {
+		t.Errorf("metrics: hits %v misses %v completed %v, want >0, >0, 4", hits, misses, completed)
 	}
 	if met[`tcserved_pass_segments_total{pass="moves"}`] == 0 {
 		t.Error("metrics: no per-pass aggregate after an optimized run")
@@ -581,5 +596,49 @@ func TestCacheHitAllocationsFlat(t *testing.T) {
 	if grown := large - small; grown >= float64(largeLen-smallLen) {
 		t.Errorf("a hit on a result %d bytes larger allocates %.0f bytes more: a copy of the result per hit",
 			largeLen-smallLen, grown)
+	}
+}
+
+// TestSyncHitsLeaveNoRecord guards a node's memory against its traffic:
+// a sync cache hit's caller already holds the answer and never polls,
+// so the hit keeps no job record, and the heap a node retains does not
+// grow with the hits it has served.
+func TestSyncHitsLeaveNoRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("15,000 requests take seconds under the race detector; the plain build runs this guard")
+	}
+	srv := New(Config{})
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	body, err := json.Marshal(client.JobRequest{Workload: "compress", Insts: testInsts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardResponse{header: http.Header{}}
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		}
+	}
+	retained := func() (heap uint64, records int) {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc, srv.jobs.records()
+	}
+	// The miss that caches the result, then enough hits to fill the
+	// span ring, which holds as many spans from then on.
+	serve(1 + 5000)
+	heap0, records0 := retained()
+	const hits = 10_000
+	serve(hits)
+	heap1, records1 := retained()
+	perHit := (float64(heap1) - float64(heap0)) / hits
+	t.Logf("%d sync hits: %d -> %d records, %.1f retained heap bytes per hit", hits, records0, records1, perHit)
+	if records1 > records0 {
+		t.Errorf("%d sync hits left %d more job records", hits, records1-records0)
+	}
+	if perHit >= 32 {
+		t.Errorf("each sync hit retains %.1f heap bytes, want under 32", perHit)
 	}
 }

@@ -1,7 +1,7 @@
 // Package server implements tcserved, the simulation-as-a-service
 // daemon: an HTTP/JSON front end over the tcsim simulator with a
 // bounded worker pool, a canonical-config-hash result cache with
-// singleflight deduplication, an async job store with TTL GC, sweeps
+// singleflight deduplication, a bounded store of pollable jobs, sweeps
 // whose cells run as engine jobs, backpressure, and live metrics.
 package server
 
