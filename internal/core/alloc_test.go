@@ -87,3 +87,20 @@ func TestFinalizeAllocsPassManager(t *testing.T) {
 		t.Errorf("pass-manager finalize allocates %.4f allocs/inst, want 0", avg)
 	}
 }
+
+// TestPassSpecAllocs pins the spec builders at one allocation each,
+// the result: the registry is kept in canonical order as passes
+// register, so building a spec never copies or sorts it. Every
+// machine.Config.Canonical, and so every job request, builds one.
+func TestPassSpecAllocs(t *testing.T) {
+	for name, spec := range map[string]func() []string{
+		"AllOptimizations().PassSpec": func() []string { return AllOptimizations().PassSpec() },
+		"Optimizations{}.PassSpec":    func() []string { return Optimizations{}.PassSpec() },
+		"DefaultPassSpec":             DefaultPassSpec,
+		"PassNames":                   PassNames,
+	} {
+		if n := testing.AllocsPerRun(100, func() { _ = spec() }); n != 1 {
+			t.Errorf("%s: %.0f allocations, want 1", name, n)
+		}
+	}
+}

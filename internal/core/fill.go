@@ -50,8 +50,13 @@ type armedBuffer struct {
 	free       int8 // free-node list through next[]
 }
 
+// init empties the buffer, keeping its index map.
 func (a *armedBuffer) init() {
-	a.idx = make(map[uint32]int8, maxArmed)
+	if a.idx == nil {
+		a.idx = make(map[uint32]int8, maxArmed)
+	} else {
+		clear(a.idx)
+	}
 	for i := range a.next {
 		a.next[i] = int8(i) + 1
 	}
@@ -129,24 +134,52 @@ type pendingSeg struct {
 // violates a registered constraint — is an error, never a silent
 // reordering.
 func New(cfg Config, bias *bpred.BiasTable) (*FillUnit, error) {
-	f := &FillUnit{
-		cfg:  cfg.normalize(),
-		bias: bias,
-	}
-	f.armed.init()
-	spec := f.cfg.Passes
-	if len(spec) == 0 {
-		spec = f.cfg.Opt.PassSpec()
-	}
-	p, err := NewPipeline(f, spec)
-	if err != nil {
+	f := new(FillUnit)
+	if err := f.Reset(cfg, bias); err != nil {
 		return nil, err
 	}
-	f.opts = p
+	return f, nil
+}
+
+// Reset re-initializes f in place for another run, exactly as New
+// builds a fill unit; New is Reset applied to an empty FillUnit. Segment
+// storage is kept for reuse, including the segments under construction
+// or in the fill pipe; the pass pipeline is built anew. After an error
+// f must not be used.
+func (f *FillUnit) Reset(cfg Config, bias *bpred.BiasTable) error {
+	cfg = cfg.normalize()
+	spec := cfg.Passes
+	if len(spec) == 0 {
+		spec = cfg.Opt.PassSpec()
+	}
+	free := f.segFree
+	if f.cur != nil {
+		free = append(free, f.cur)
+	}
+	for _, ps := range f.pipe[f.pipeHead:] {
+		free = append(free, ps.seg)
+	}
+	clear(f.pipe)
+	clear(f.drainOut)
+	*f = FillUnit{
+		cfg:      cfg,
+		bias:     bias,
+		block:    f.block[:0],
+		armed:    f.armed,
+		pipe:     f.pipe[:0],
+		drainOut: f.drainOut[:0],
+		segFree:  free,
+	}
+	f.armed.init()
+	opts, err := NewPipeline(f, spec)
+	if err != nil {
+		return err
+	}
+	f.opts = opts
 	// Keep the boolean view coherent with what actually runs, so
 	// Config() reports the effective selection under an explicit spec.
 	f.cfg.Opt = OptimizationsForSpec(spec)
-	return f, nil
+	return nil
 }
 
 // MustNew is New for configurations known to be valid (tests, examples,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tcsim/internal/obs"
@@ -12,9 +14,10 @@ import (
 // OptPass is one fill-unit optimization pass. A pass rewrites (or
 // annotates) a finished trace segment in place and accounts for its work
 // in the PassStats cell the pipeline hands it. Pass objects are
-// constructed once per fill unit (at New) and reused for every segment,
-// so Run must not retain references to seg and must not allocate in
-// steady state — the fill path is allocation-free and passes are on it.
+// constructed once per fill unit run (at New or Reset) and reused for
+// every segment, so Run must not retain references to seg and must not
+// allocate in steady state — the fill path is allocation-free and
+// passes are on it.
 type OptPass interface {
 	// Name returns the registry name the pass was registered under.
 	Name() string
@@ -87,8 +90,13 @@ type PassInfo struct {
 	New func(f *FillUnit) OptPass
 }
 
-// registry holds every registered pass, keyed by name.
-var registry = map[string]PassInfo{}
+// registry holds every registered pass, keyed by name; ordered holds
+// the same passes in canonical order (Order, then Name), kept sorted as
+// passes register so that listing them never sorts.
+var (
+	registry = map[string]PassInfo{}
+	ordered  []PassInfo
+)
 
 // RegisterPass adds a pass to the registry. The five built-in passes
 // register themselves from their defining files' init functions; custom
@@ -104,6 +112,13 @@ func RegisterPass(info PassInfo) {
 		panic(fmt.Sprintf("core: pass %q registered twice", info.Name))
 	}
 	registry[info.Name] = info
+	i, _ := slices.BinarySearchFunc(ordered, info, func(a, b PassInfo) int {
+		if c := cmp.Compare(a.Order, b.Order); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	ordered = slices.Insert(ordered, i, info)
 }
 
 // LookupPass returns the registration for name.
@@ -113,26 +128,14 @@ func LookupPass(name string) (PassInfo, bool) {
 }
 
 // RegisteredPasses lists every registered pass in canonical order
-// (Order, then Name for stability).
-func RegisteredPasses() []PassInfo {
-	out := make([]PassInfo, 0, len(registry))
-	for _, pi := range registry {
-		out = append(out, pi)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
+// (Order, then Name for stability). The slice is the caller's copy.
+func RegisteredPasses() []PassInfo { return slices.Clone(ordered) }
 
 // PassNames lists every registered pass name in canonical order.
 func PassNames() []string {
-	var out []string
-	for _, pi := range RegisteredPasses() {
-		out = append(out, pi.Name)
+	out := make([]string, len(ordered))
+	for i, pi := range ordered {
+		out[i] = pi.Name
 	}
 	return out
 }
@@ -140,8 +143,8 @@ func PassNames() []string {
 // DefaultPassSpec returns the paper's combined pipeline: every Default
 // pass in canonical order. Equal to AllOptimizations().PassSpec().
 func DefaultPassSpec() []string {
-	var out []string
-	for _, pi := range RegisteredPasses() {
+	out := make([]string, 0, len(ordered))
+	for _, pi := range ordered {
 		if pi.Default {
 			out = append(out, pi.Name)
 		}
@@ -285,10 +288,10 @@ func (p *Pipeline) Stats() []PassStats {
 // PassSpec expands the boolean optimization selection into the paper's
 // canonical pass order: every registered Default-eligible pass whose
 // field is set, in registry order. The result is what an empty
-// Config.Passes spec runs.
+// Config.Passes spec runs; it is never nil, and the caller owns it.
 func (o Optimizations) PassSpec() []string {
-	var out []string
-	for _, pi := range RegisteredPasses() {
+	out := make([]string, 0, len(ordered))
+	for _, pi := range ordered {
 		if pi.Enabled != nil && pi.Enabled(o) {
 			out = append(out, pi.Name)
 		}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"tcsim/internal/cache"
@@ -67,6 +69,26 @@ func (c Config) normalize() Config {
 	return c
 }
 
+// MaxRSPerFU is the largest reservation station the engine models, and
+// MaxFUs the most functional units: a station's occupied and ready
+// slots are each one 64-bit mask, and so is a timing-wheel bucket's set
+// of FUs.
+const (
+	MaxRSPerFU = 64
+	MaxFUs     = 64
+)
+
+// Validate rejects a configuration the engine cannot model.
+func (c Config) Validate() error {
+	if c.RSPerFU > MaxRSPerFU {
+		return fmt.Errorf("exec: %d reservation-station entries per FU, at most %d supported", c.RSPerFU, MaxRSPerFU)
+	}
+	if n := c.Clusters * c.FUsPerCluster; n > MaxFUs {
+		return fmt.Errorf("exec: %d functional units, at most %d supported", n, MaxFUs)
+	}
+	return nil
+}
+
 // Stats counts backend activity.
 type Stats struct {
 	Dispatched     uint64
@@ -80,10 +102,14 @@ type Stats struct {
 // scheduler.
 //
 // Per-cycle work scales with the uops that can progress, not with the
-// window. The window is a power-of-two ring buffer in fetch order, so
-// head pruning is O(retired); select walks one reservation-station
-// queue per FU; and move adoption, branch resolution and inactive-block
-// handling walk short fetch-order lists instead of the window.
+// window or the stations. The window is a power-of-two ring buffer in
+// fetch order, so head pruning is O(retired). A reservation station is
+// a set of fixed slots with an occupancy mask and a ready mask: an
+// entry computes its ready time when it is issued or woken, waits in a
+// timing wheel until that cycle, and Cycle dispatches, per FU, the
+// oldest slot in the ready mask, so select never walks a station. Move
+// adoption, branch resolution and inactive-block handling walk short
+// fetch-order lists instead of the window.
 type Engine struct {
 	cfg  Config
 	hier *cache.Hierarchy
@@ -93,11 +119,25 @@ type Engine struct {
 	n    int
 	live int // issued, not yet retired or dead
 
-	// rs holds one reservation-station queue per FU in fetch order.
-	// Kill removes a uop's entry at once, so a queue never holds a dead
-	// (and possibly recycled) uop.
-	rs     [][]rsEntry
-	rsNeed []int // per-FU scratch for RSSpaceFor
+	// rs holds RSPerFU slots per FU (FU f's slot i is rs[f*RSPerFU+i]);
+	// occ and ready are per-FU masks of the occupied slots and of those
+	// whose ready cycle has come, and readyFUs has bit f set whenever
+	// ready[f] may be non-zero. A known entry not yet ready sits in
+	// wheel: bucket t&wheelMask holds one mask per FU of the slots ready
+	// at cycle t, and busy[t&wheelMask] the FUs it may hold slots of.
+	// next is the first cycle whose bucket has not been moved into
+	// ready; every wheel entry's ready cycle lies in
+	// [next, next+wheelMask].
+	rs        []rsEntry
+	occ       []uint64
+	ready     []uint64
+	readyFUs  uint64
+	wheel     []uint64
+	busy      []uint64
+	wheelMask uint64
+	next      uint64
+	rsNeed    []int // per-FU scratch for RSSpaceFor
+	cluster   []int // per-FU cluster
 
 	// Fetch-order lists of the uops a per-cycle pass must visit. An entry
 	// goes stale when its uop dies, resolves, activates or adopts a
@@ -118,62 +158,74 @@ type Engine struct {
 // rsEntry is one reservation-station slot. Its dispatch-ready time is
 // computed once, when the last producer the uop waits on has a
 // scheduled result. Until then the entry sleeps on the first producer
-// found unscheduled (waitOn), and select skips it without touching any
-// uop; the producer wakes it when its result is scheduled or it dies.
+// found unscheduled (waitOn); the producer wakes it when its result is
+// scheduled or it dies.
 //
 // A known ready time is final: every producer's result time is fixed
 // once set, and a consumer never outlives its producer (squashes kill a
 // Seq suffix; inactive blocks are discarded whole, and only their own
-// younger members consume their results).
+// younger members consume their results). So computing it at issue or
+// wake, rather than at select, changes no dispatch.
 type rsEntry struct {
 	u       *UOp
-	waitOn  *UOp   // producer the entry sleeps on
+	waitOn  *UOp   // producer the entry sleeps on; nil once ready is known
+	seq     uint64 // u.Seq: select compares it without touching the uop
 	ready   uint64 // dispatch-ready cycle, once known
-	known   bool
-	asleep  bool  // on waitOn's waiter list
-	delayed bool  // ready includes a cross-cluster bypass delay (Fig 7)
-	wait    uint8 // operand index of waitOn
+	delayed bool   // ready includes a cross-cluster bypass delay (Fig 7)
+	wait    uint8  // operand index of waitOn
 }
 
-// poll advances an awake entry's readiness and reports whether its
-// ready time is known; otherwise the entry now sleeps on the producer
-// it found unscheduled. Memory operations wait only on address
-// operands.
-func (r *rsEntry) poll(penalty int) bool {
-	u := r.u
+// entry returns u's reservation-station slot.
+func (e *Engine) entry(u *UOp) *rsEntry {
+	return &e.rs[u.FU*e.cfg.RSPerFU+int(u.rsSlot)]
+}
+
+// poll advances an entry's readiness: it sleeps on the first producer
+// it finds unscheduled or, once every producer it waits on is
+// scheduled, computes its ready time and schedules it. Memory
+// operations wait only on address operands.
+func (e *Engine) poll(u *UOp) {
+	r := e.entry(u)
 	addrOnly := u.IsMem()
 	for k := int(r.wait); k < u.NSrc; k++ {
 		if addrOnly && !u.SrcAddr[k] {
 			continue
 		}
 		if p := u.SrcProd[k]; p != nil && !p.HasResult && !p.Dead {
-			r.waitOn, r.wait, r.asleep = p, uint8(k), true
+			r.waitOn, r.wait = p, uint8(k)
 			u.nextWaiter, p.waiters = p.waiters, u
-			return false
+			return
 		}
 	}
-	r.ready, r.delayed, _ = u.readyAt(u.Cluster, penalty, addrOnly)
-	r.known, r.waitOn = true, nil
-	return true
+	r.ready, r.delayed, _ = u.readyAt(u.Cluster, e.cfg.CrossClusterPenalty, addrOnly)
+	r.waitOn = nil
+	bit := uint64(1) << u.rsSlot
+	if r.ready < e.next {
+		e.ready[u.FU] |= bit
+		e.readyFUs |= 1 << u.FU
+		return
+	}
+	if d := r.ready - e.next; d > e.wheelMask {
+		panic(fmt.Sprintf("exec: uop %d ready at cycle %d, %d cycles past the timing wheel's %d-cycle span",
+			u.Seq, r.ready, d, e.wheelMask+1))
+	}
+	b := int(r.ready & e.wheelMask)
+	e.wheel[b*len(e.ready)+u.FU] |= bit
+	e.busy[b] |= 1 << u.FU
 }
 
-// wake wakes the entries asleep on p, once p's result is scheduled or p
+// wake polls the entries asleep on p, once p's result is scheduled or p
 // has died. Every uop on the list is RS-resident and asleep: a consumer
 // leaves the list when woken, and Kill unlinks one that dies asleep.
 func (e *Engine) wake(p *UOp) {
-	for w := p.waiters; w != nil; {
+	w := p.waiters
+	p.waiters = nil
+	for w != nil {
 		next := w.nextWaiter
 		w.nextWaiter = nil
-		q := e.rs[w.FU]
-		for i := range q {
-			if q[i].u == w {
-				q[i].asleep = false
-				break
-			}
-		}
+		e.poll(w)
 		w = next
 	}
-	p.waiters = nil
 }
 
 // unwait takes u off the waiter list of p.
@@ -186,25 +238,112 @@ func unwait(p, u *UOp) {
 	}
 }
 
+// advance moves every wheel entry ready before cycle t into the ready
+// masks and makes t the next cycle to process. When t is more than the
+// wheel's span ahead, every bucket is moved once.
+func (e *Engine) advance(t uint64) {
+	if t <= e.next {
+		return
+	}
+	c := e.next
+	if span := e.wheelMask + 1; t-c > span {
+		c = t - span
+	}
+	nFU := len(e.ready)
+	for ; c < t; c++ {
+		b := int(c & e.wheelMask)
+		for fs := e.busy[b]; fs != 0; fs &= fs - 1 {
+			f := bits.TrailingZeros64(fs)
+			e.ready[f] |= e.wheel[b*nFU+f]
+			e.wheel[b*nFU+f] = 0
+		}
+		e.readyFUs |= e.busy[b]
+		e.busy[b] = 0
+	}
+	e.next = t
+}
+
+// wheelSpan returns the timing wheel's size: a power of two above the
+// furthest a ready time can fall past the next unprocessed cycle. A
+// result is scheduled at most the longest latency (a load that misses
+// to memory, or a divide) after the cycle that schedules it, which is
+// the one before next; a consumer may add the cross-cluster bypass and
+// a same-group move's rename cycle.
+func wheelSpan(cfg Config, p cache.Params) int {
+	lat := max(cfg.IntLatency, cfg.MulLatency, cfg.DivLatency, p.L1DLatency+max(p.L2Latency, p.MemLatency))
+	span := 1
+	for span <= lat+cfg.CrossClusterPenalty {
+		span *= 2
+	}
+	return span
+}
+
 // NewEngine builds a backend over the given memory hierarchy.
 func NewEngine(cfg Config, hier *cache.Hierarchy) *Engine {
+	e := new(Engine)
+	e.Reset(cfg, hier)
+	return e
+}
+
+// Reset re-initializes the engine for a new run over hier, exactly as
+// NewEngine builds one, keeping any storage large enough for cfg. The
+// caller recycles the uops still in the window first; Reset drops every
+// reference to them. It panics on a configuration Validate rejects.
+func (e *Engine) Reset(cfg Config, hier *cache.Hierarchy) {
 	cfg = cfg.normalize()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	ringCap := 64
 	for ringCap < 2*cfg.WindowSize {
 		ringCap *= 2
 	}
+	buf := e.buf
+	if len(buf) < ringCap {
+		buf = make([]*UOp, ringCap)
+	} else {
+		clear(buf)
+	}
 	nFU := cfg.Clusters * cfg.FUsPerCluster
-	rs := make([][]rsEntry, nFU)
-	for f := range rs {
-		rs[f] = make([]rsEntry, 0, cfg.RSPerFU)
+	span := wheelSpan(cfg, hier.P)
+	*e = Engine{
+		cfg:       cfg,
+		hier:      hier,
+		buf:       buf,
+		rs:        zeroed(e.rs, nFU*cfg.RSPerFU),
+		occ:       zeroed(e.occ, nFU),
+		ready:     zeroed(e.ready, nFU),
+		wheel:     zeroed(e.wheel, span*nFU),
+		busy:      zeroed(e.busy, span),
+		wheelMask: uint64(span - 1),
+		rsNeed:    zeroed(e.rsNeed, nFU),
+		cluster:   zeroed(e.cluster, nFU),
+		branches:  emptied(e.branches),
+		moves:     emptied(e.moves),
+		inactive:  emptied(e.inactive),
+		stores:    emptied(e.stores),
+		waitLoads: emptied(e.waitLoads),
 	}
-	return &Engine{
-		cfg:    cfg,
-		hier:   hier,
-		buf:    make([]*UOp, ringCap),
-		rs:     rs,
-		rsNeed: make([]int, nFU),
+	for f := range e.cluster {
+		e.cluster[f] = f / cfg.FUsPerCluster
 	}
+}
+
+// zeroed returns s cut to length n with every element zero, allocating
+// only when its capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// emptied returns s with its elements cleared and its length zero.
+func emptied(s []*UOp) []*UOp {
+	clear(s)
+	return s[:0]
 }
 
 // Config returns the normalized configuration.
@@ -248,7 +387,7 @@ func (e *Engine) RSSpaceFor(slots []int) bool {
 	}
 	ok := true
 	for _, s := range slots {
-		if len(e.rs[s])+e.rsNeed[s] > e.cfg.RSPerFU {
+		if bits.OnesCount64(e.occ[s])+e.rsNeed[s] > e.cfg.RSPerFU {
 			ok = false
 			break
 		}
@@ -263,7 +402,7 @@ func (e *Engine) RSSpaceFor(slots []int) bool {
 // station when it needs one). The caller has already checked space.
 func (e *Engine) Issue(u *UOp, cycle uint64) {
 	u.IssueCycle = cycle
-	u.Cluster = u.FU / e.cfg.FUsPerCluster
+	u.Cluster = e.cluster[u.FU]
 	switch {
 	case u.MoveBit:
 		// Executes in rename; result adopted from the producer.
@@ -281,7 +420,16 @@ func (e *Engine) Issue(u *UOp, cycle uint64) {
 	default:
 		u.State = StateInRS
 		u.InRS = true
-		e.rs[u.FU] = append(e.rs[u.FU], rsEntry{u: u})
+		e.advance(cycle)
+		f := u.FU
+		i := bits.TrailingZeros64(^e.occ[f])
+		if i >= e.cfg.RSPerFU {
+			panic(fmt.Sprintf("exec: uop %d issued to FU %d's full reservation station", u.Seq, f))
+		}
+		e.occ[f] |= 1 << i
+		u.rsSlot = uint8(i)
+		*e.entry(u) = rsEntry{u: u, seq: u.Seq}
+		e.poll(u)
 	}
 	e.live++
 	if u.IsBranch && !u.Resolved {
@@ -343,20 +491,28 @@ func (e *Engine) latency(op isa.Op) int {
 // Selecting per FU picks exactly the uops a fetch-order scan of the
 // whole window would: every latency is at least one cycle, so nothing
 // dispatched this cycle can make another uop ready this cycle, and the
-// order in which FUs are served does not matter.
+// order in which FUs are served does not matter. The ready mask holds
+// exactly the entries whose operands are all scheduled and whose ready
+// cycle is at most c, so its lowest Seq is the scan's first hit.
 func (e *Engine) Cycle(c uint64) {
-	penalty := e.cfg.CrossClusterPenalty
-	for f, q := range e.rs {
-		for i := range q {
-			r := &q[i]
-			if r.asleep || !r.known && !r.poll(penalty) || r.ready > c {
-				continue
-			}
-			u, delayed := r.u, r.delayed
-			e.removeRS(f, i)
-			e.dispatch(u, delayed, c)
-			break
+	e.advance(c + 1)
+	for fs := e.readyFUs; fs != 0; fs &= fs - 1 {
+		f := bits.TrailingZeros64(fs)
+		m := e.ready[f]
+		if m == 0 {
+			e.readyFUs &^= 1 << f
+			continue
 		}
+		q := e.rs[f*e.cfg.RSPerFU:]
+		i := bits.TrailingZeros64(m)
+		for m &= m - 1; m != 0; m &= m - 1 {
+			if j := bits.TrailingZeros64(m); q[j].seq < q[i].seq {
+				i = j
+			}
+		}
+		u, delayed := q[i].u, q[i].delayed
+		e.release(f, i)
+		e.dispatch(u, delayed, c)
 	}
 
 	// Move adoption after dispatch: a move whose producer scheduled this
@@ -392,13 +548,14 @@ func (e *Engine) Cycle(c uint64) {
 	e.memSchedule(c)
 }
 
-// removeRS deletes entry i from FU f's reservation station, keeping the
-// queue in fetch order.
-func (e *Engine) removeRS(f, i int) {
-	q := e.rs[f]
-	copy(q[i:], q[i+1:])
-	q[len(q)-1] = rsEntry{}
-	e.rs[f] = q[:len(q)-1]
+// release frees slot i of FU f's reservation station. The entry has
+// left the wheel: it was dispatched from the ready mask, or Kill took
+// it out.
+func (e *Engine) release(f, i int) {
+	bit := uint64(1) << i
+	e.occ[f] &^= bit
+	e.ready[f] &^= bit
+	e.rs[f*e.cfg.RSPerFU+i] = rsEntry{}
 }
 
 // dispatch sends a uop that has left its reservation station to its FU.
@@ -600,19 +757,6 @@ func (e *Engine) Branches() []*UOp { return e.branches }
 // last prune are still present).
 func (e *Engine) Inactive() []*UOp { return e.inactive }
 
-// Window exposes the live window in fetch order (oldest first). It
-// materializes a fresh slice per call; the cycle loop uses Len/At.
-func (e *Engine) Window() []*UOp {
-	out := make([]*UOp, e.n)
-	for i := 0; i < e.n; i++ {
-		out[i] = e.At(i)
-	}
-	return out
-}
-
-// Prune drops retired and dead uops from the head of the window.
-func (e *Engine) Prune() { e.PruneRecycle(nil, 0) }
-
 // PruneRecycle drops retired and dead uops from the head of the window,
 // handing them to the pool (when non-nil) for deferred reuse; watermark
 // must be the highest issued sequence number. It also drops the dead
@@ -686,22 +830,17 @@ func (e *Engine) Kill(u *UOp) {
 	e.live--
 	e.stale = true
 	if u.InRS {
-		// Search from the youngest end: a squash kills its suffix
-		// youngest first, so the entry is then the last in its queue.
 		u.InRS = false
-		q := e.rs[u.FU]
-		for i := len(q) - 1; i >= 0; i-- {
-			if q[i].u == u {
-				if q[i].asleep {
-					unwait(q[i].waitOn, u)
-				}
-				e.removeRS(u.FU, i)
-				break
-			}
+		r := e.entry(u)
+		if r.waitOn != nil {
+			unwait(r.waitOn, u)
+		} else {
+			e.wheel[int(r.ready&e.wheelMask)*len(e.ready)+u.FU] &^= 1 << u.rsSlot
 		}
+		e.release(u.FU, int(u.rsSlot))
 	}
 	e.wake(u)
 }
 
 // RSOccupancy returns the occupied entry count for a FU (test hook).
-func (e *Engine) RSOccupancy(fu int) int { return len(e.rs[fu]) }
+func (e *Engine) RSOccupancy(fu int) int { return bits.OnesCount64(e.occ[fu]) }

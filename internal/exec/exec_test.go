@@ -320,17 +320,20 @@ func TestRSAccounting(t *testing.T) {
 	}
 }
 
-// TestSleepingEntries: an RS entry whose producer is unscheduled sleeps
-// on it. The producer's scheduled result wakes it in time to dispatch at
-// its ready cycle, a sleeping consumer that dies leaves the producer's
-// waiter list, and a producer that dies wakes its sleepers (a dead
-// producer reads as ready).
+// TestSleepingEntries: an RS entry whose producer is unscheduled goes
+// to sleep on it when it is issued. The producer's scheduled result
+// wakes it in time to dispatch at its ready cycle, a sleeping consumer
+// that dies leaves the producer's waiter list, and a producer that dies
+// wakes its sleepers (a dead producer reads as ready).
 func TestSleepingEntries(t *testing.T) {
 	e := newEngine(t)
 	p := alu(1)
-	c := alu(0, p) // FU 0 is served before FU 1: c polls first and sleeps
+	c := alu(0, p) // issued after p, which is unscheduled: c sleeps on it
 	e.Issue(p, 0)
 	e.Issue(c, 0)
+	if p.waiters != c {
+		t.Fatal("c should sleep on p from its issue")
+	}
 	e.Cycle(0)
 	if p.waiters != nil {
 		t.Error("p's dispatch should have woken its sleeper")
@@ -344,7 +347,7 @@ func TestSleepingEntries(t *testing.T) {
 	q := alu(4, blocker)
 	c1, c2 := alu(5, q), alu(6, q)
 	for _, u := range []*UOp{q, c1, c2} {
-		e.Issue(u, 2)
+		e.Issue(u, 2) // each goes to sleep as it is issued
 	}
 	e.Cycle(2)
 	if blocker.waiters != q || q.waiters == nil {
@@ -425,13 +428,13 @@ func TestWindowSpaceAndPrune(t *testing.T) {
 		t.Errorf("space = %d", e.WindowSpace())
 	}
 	a.Retired = true
-	e.Prune()
-	if len(e.Window()) != 1 || e.Window()[0] != b {
+	e.PruneRecycle(nil, 0)
+	if e.Len() != 1 || e.At(0) != b {
 		t.Error("prune should drop the retired head")
 	}
 	e.Kill(b)
-	e.Prune()
-	if len(e.Window()) != 0 {
+	e.PruneRecycle(nil, 0)
+	if e.Len() != 0 {
 		t.Error("prune should drop the dead head")
 	}
 }

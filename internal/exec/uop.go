@@ -106,6 +106,9 @@ type UOp struct {
 	// consumers whose entries sleep until this uop's result is scheduled
 	// or it dies. Both lists are empty whenever the uop leaves the window.
 	waiters, nextWaiter *UOp
+	// rsSlot is the uop's reservation-station slot within its FU's
+	// station while InRS.
+	rsSlot uint8
 
 	// freeAfter is the Pool's deferred-reclamation watermark: the
 	// highest sequence number issued when this uop left the window.

@@ -30,8 +30,11 @@ import (
 // by the canonical key of the resolved machine (machine.Config.Canonical,
 // the key tcserved caches by), so two variants that describe the same
 // machine simulate once, and when two figures concurrently ask for it,
-// one simulation runs and both wait on it. Simulations are throttled by
-// a worker pool sized GOMAXPROCS. Create one with NewRunner; it is safe
+// one simulation runs and both wait on it. Simulations run in a pool of
+// GOMAXPROCS worker slots, each a machine.Slot that keeps the simulator
+// of its last run, so the next run in that slot re-initializes it
+// instead of allocating a new machine. The Runner holds those
+// simulators for its lifetime. Create one with NewRunner; it is safe
 // for concurrent use.
 type Runner struct {
 	// Insts overrides every workload's instruction budget when non-zero.
@@ -40,18 +43,25 @@ type Runner struct {
 	Workloads []string
 
 	runs     *memo.Cache[string, pipeline.Stats]
-	workers  chan struct{} // worker-pool slots
-	simCount atomic.Uint64 // simulations actually executed (not memo hits)
+	slots    chan *machine.Slot // idle worker slots
+	simCount atomic.Uint64      // simulations actually executed (not memo hits)
 }
 
 // NewRunner returns a Runner with an instruction budget override
 // (0 keeps each workload's default).
-func NewRunner(insts uint64) *Runner {
-	return &Runner{
-		Insts:   insts,
-		runs:    memo.New[string, pipeline.Stats](0, nil),
-		workers: make(chan struct{}, runtime.GOMAXPROCS(0)),
+func NewRunner(insts uint64) *Runner { return newRunner(insts, runtime.GOMAXPROCS(0)) }
+
+// newRunner returns a Runner with the given number of worker slots.
+func newRunner(insts uint64, workers int) *Runner {
+	r := &Runner{
+		Insts: insts,
+		runs:  memo.New[string, pipeline.Stats](0, nil),
+		slots: make(chan *machine.Slot, workers),
 	}
+	for range workers {
+		r.slots <- new(machine.Slot)
+	}
+	return r
 }
 
 func (r *Runner) workloads() []workload.Workload {
@@ -139,7 +149,8 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
 	st, _, err := r.runs.Do(ctx, key, func() (pipeline.Stats, error) {
-		return r.simulate(ctx, w.Name, v.Name, cfg)
+		out, err := r.simulate(ctx, w.Name, v.Name, cfg)
+		return out.Stats, err
 	})
 	return st, err
 }
@@ -148,17 +159,18 @@ func isCancel(err error) bool {
 	return err != nil && (errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// simulate runs one actual simulation of a resolved config inside a
-// worker-pool slot.
-func (r *Runner) simulate(ctx context.Context, name, label string, cfg machine.Config) (pipeline.Stats, error) {
+// simulate runs one actual simulation of a resolved config in a worker
+// slot, on the simulator that slot's last run left.
+func (r *Runner) simulate(ctx context.Context, name, label string, cfg machine.Config) (machine.Outcome, error) {
+	var slot *machine.Slot
 	select {
-	case r.workers <- struct{}{}:
+	case slot = <-r.slots:
 	case <-ctx.Done():
-		return pipeline.Stats{}, ctx.Err()
+		return machine.Outcome{}, ctx.Err()
 	}
-	defer func() { <-r.workers }()
+	defer func() { r.slots <- slot }()
 	if err := ctx.Err(); err != nil {
-		return pipeline.Stats{}, err
+		return machine.Outcome{}, err
 	}
 
 	r.simCount.Add(1)
@@ -170,12 +182,12 @@ func (r *Runner) simulate(ctx context.Context, name, label string, cfg machine.C
 	var out machine.Outcome
 	var err error
 	pprof.Do(ctx, pprof.Labels("workload", name, "variant", label), func(ctx context.Context) {
-		out, err = machine.Run(ctx, cfg, name, tracestore.Shared())
+		out, err = slot.Run(ctx, cfg, name, tracestore.Shared())
 	})
 	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", name, label, err)
+		return machine.Outcome{}, fmt.Errorf("%s/%s: %w", name, label, err)
 	}
-	return out.Stats, nil
+	return out, nil
 }
 
 // SimCount reports how many simulations have actually executed (memo

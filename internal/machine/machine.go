@@ -162,7 +162,7 @@ func (c Config) resolve(name string) (Config, error) {
 	}
 	if len(c.Passes) == 0 {
 		// Never nil: the key spells the baseline's pipeline as [].
-		c.Passes = append([]string{}, c.Opt.PassSpec()...)
+		c.Passes = c.Opt.PassSpec()
 	}
 	if err := core.ValidateSpec(c.Passes); err != nil {
 		return c, err
@@ -251,8 +251,22 @@ type Outcome struct {
 // captures its correct-path stream and later runs replay it, bit-for-bit
 // identical to live emulation; a seek plan above the full-capture limit
 // runs over a checkpoint log. The library, tcserved's jobs and the
-// figures all run through it.
+// figures all run through it; each call builds a new simulator.
 func Run(ctx context.Context, cfg Config, name string, st *tracestore.Store) (Outcome, error) {
+	return new(Slot).Run(ctx, cfg, name, st)
+}
+
+// Slot keeps one simulator between runs, so that the next run
+// re-initializes it in place (pipeline.Simulator.Reset) instead of
+// allocating a new machine; the result is bit-for-bit the same. The
+// zero value is an empty slot, whose run builds a fresh simulator. A
+// run that fails, is cancelled or panics leaves the slot empty. Nothing
+// a run returns aliases the kept simulator. A Slot is not safe for
+// concurrent use.
+type Slot struct{ sim *pipeline.Simulator }
+
+// Run is the package's Run over the slot's simulator.
+func (sl *Slot) Run(ctx context.Context, cfg Config, name string, st *tracestore.Store) (Outcome, error) {
 	w, err := lookup(name)
 	if err != nil {
 		return Outcome{}, err
@@ -270,7 +284,7 @@ func Run(ctx context.Context, cfg Config, name string, st *tracestore.Store) (Ou
 	if full != nil { // a typed nil would slip past the oracle-policy check
 		pc.Future = full
 	}
-	return run(ctx, cfg, pc, prog, full, phase)
+	return sl.run(ctx, cfg, pc, prog, full, phase)
 }
 
 // RunProgram resolves cfg and simulates prog under live emulation.
@@ -279,14 +293,14 @@ func RunProgram(ctx context.Context, cfg Config, prog *asm.Program) (Outcome, er
 	if err != nil {
 		return Outcome{}, err
 	}
-	return run(ctx, cfg, cfg.pipeline(), prog, nil, "live")
+	return new(Slot).run(ctx, cfg, cfg.pipeline(), prog, nil, "live")
 }
 
-// run builds the simulator and runs it under ctx, labelling the profile
-// with the source's phase. Only a run that captured full records the
-// capture event, so warm replays and live runs record identical
-// timelines.
-func run(ctx context.Context, cfg Config, pc pipeline.Config, prog *asm.Program, full *tracestore.Trace, phase string) (Outcome, error) {
+// run re-initializes the slot's simulator (New, on an empty slot) and
+// runs it under ctx, labelling the profile with the source's phase.
+// Only a run that captured full records the capture event, so warm
+// replays and live runs record identical timelines.
+func (sl *Slot) run(ctx context.Context, cfg Config, pc pipeline.Config, prog *asm.Program, full *tracestore.Trace, phase string) (Outcome, error) {
 	if ctx.Done() != nil {
 		pc.Cancelled = func() bool { return ctx.Err() != nil }
 	}
@@ -296,11 +310,18 @@ func run(ctx context.Context, cfg Config, pc pipeline.Config, prog *asm.Program,
 			pc.Recorder.Emit(0, obs.KCapture, full.Len(), cfg.MaxInsts, 0)
 		}
 	}
-	sim, err := pipeline.New(pc, prog)
-	if err != nil {
+	// The slot stays empty until the run succeeds, so a run that fails,
+	// is cancelled or panics leaves the next one a fresh simulator.
+	sim := sl.sim
+	sl.sim = nil
+	if sim == nil {
+		sim = new(pipeline.Simulator)
+	}
+	if err := sim.Reset(pc, prog); err != nil {
 		return Outcome{}, err
 	}
 	var st pipeline.Stats
+	var err error
 	pprof.Do(ctx, pprof.Labels("phase", phase), func(context.Context) { st, err = sim.Run() })
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && err == pipeline.ErrCanceled {
@@ -312,5 +333,6 @@ func run(ctx context.Context, cfg Config, pc pipeline.Config, prog *asm.Program,
 	if pc.Recorder != nil {
 		out.Timeline = pc.Recorder.Timeline()
 	}
+	sl.sim = sim
 	return out, nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"tcsim/internal/asm"
 	"tcsim/internal/bpred"
@@ -16,7 +17,8 @@ import (
 	"tcsim/internal/trace"
 )
 
-// Simulator is one configured machine bound to one program.
+// Simulator is one configured machine bound to one program; Reset
+// binds it to the next.
 //
 // The per-cycle path is allocation-free in steady state: uops come from
 // a deferred-reclamation pool, the fetch latch and issue scratch are
@@ -83,14 +85,34 @@ type Simulator struct {
 
 // New builds a simulator for the program under the given configuration.
 func New(cfg Config, prog *asm.Program) (*Simulator, error) {
+	s := new(Simulator)
+	if err := s.Reset(cfg, prog); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset re-initializes s in place to simulate prog under cfg. New is
+// Reset applied to an empty Simulator, and a run after Reset is
+// bit-for-bit a run of the simulator New builds. A component whose
+// configuration (sizes, latencies, policy) equals the last run's is
+// cleared in place through its own Reset, and any other is rebuilt; the
+// uops, checkpoint snapshots and trace lines the last run left behind
+// return to their pools. A simulator whose Step panicked may hold state
+// no Reset repairs: build a new one. After an error, s must not be
+// used.
+func (s *Simulator) Reset(cfg Config, prog *asm.Program) error {
 	cfg = cfg.normalize()
 	if err := cfg.Sampling.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, g := range [][2]int{{cfg.Exec.Clusters, cfg.Exec.FUsPerCluster}, {cfg.Fill.Clusters, cfg.Fill.FUsPerCluster}} {
 		if err := ValidateGeometry(g[0], g[1]); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	if err := cfg.Exec.Validate(); err != nil {
+		return err
 	}
 	// The pipeline always runs the fill unit in fetch-aligned mode:
 	// segments start at addresses the fetch engine actually missed on,
@@ -101,55 +123,128 @@ func New(cfg Config, prog *asm.Program) (*Simulator, error) {
 	// and pass events into the same ring the fetch/issue/retire stages
 	// write, so the exported timeline interleaves them by cycle.
 	cfg.Fill.Recorder = cfg.Recorder
-	hier, err := cache.NewHierarchy(cfg.Cache)
-	if err != nil {
-		return nil, err
+
+	s.release()
+	var err error
+	hier, tc, pred, pool := s.hier, s.tc, s.pred, s.pool
+	if hier == nil || cfg.Cache != s.cfg.Cache {
+		if hier, err = cache.NewHierarchy(cfg.Cache); err != nil {
+			return err
+		}
+	} else {
+		hier.Reset()
 	}
-	tc, err := trace.NewCache(cfg.TCache)
-	if err != nil {
-		return nil, err
+	if tc == nil || cfg.TCache != s.cfg.TCache {
+		if tc, err = trace.NewCache(cfg.TCache); err != nil {
+			return err
+		}
+	} // else release has emptied it
+	if pred == nil || cfg.Pred != s.cfg.Pred {
+		pred = bpred.New(cfg.Pred)
+	} else {
+		pred.Reset()
 	}
-	pred := bpred.New(cfg.Pred)
-	fill, err := core.New(cfg.Fill, pred.Bias)
-	if err != nil {
-		return nil, err
+	fill := s.fill
+	if fill == nil {
+		fill = new(core.FillUnit)
+	}
+	if err := fill.Reset(cfg.Fill, pred.Bias); err != nil {
+		return err
+	}
+	for i, seg := range s.droppedScratch {
+		fill.RecycleSegment(seg)
+		s.droppedScratch[i] = nil
+	}
+	eng := s.eng
+	if eng == nil {
+		eng = new(exec.Engine)
+	}
+	eng.Reset(cfg.Exec, hier)
+	if pool == nil || cfg.Checkpoints != s.cfg.Checkpoints {
+		pool = rename.NewCheckpointPool(cfg.Checkpoints)
+	} else {
+		pool.Reset()
 	}
 	oracle := cfg.Oracle
 	if oracle == nil {
 		oracle = emu.NewOracleSized(emu.New(prog), MaxOracleLead(cfg))
 	}
-	s := &Simulator{
-		cfg:         cfg,
-		prog:        prog,
-		oracle:      oracle,
-		pred:        pred,
-		hier:        hier,
-		tc:          tc,
-		fill:        fill,
-		eng:         exec.NewEngine(cfg.Exec, hier),
-		pool:        rename.NewCheckpointPool(cfg.Checkpoints),
-		inflight:    newInflightTable(),
-		fetchPC:     prog.Entry,
-		fetchOnPath: true,
-		rec:         cfg.Recorder,
+
+	fg := s.fg
+	if fg.uops == nil {
+		fg.uops = make([]*exec.UOp, 0, trace.MaxInsts)
+		fg.segInsts = make([]*trace.SegInst, 0, trace.MaxInsts)
+	}
+	fg.reset()
+	inflight := s.inflight
+	if inflight.ents == nil {
+		inflight = newInflightTable()
+	} else {
+		clear(inflight.ents)
+	}
+	*s = Simulator{
+		cfg:              cfg,
+		prog:             prog,
+		oracle:           oracle,
+		text:             prog.Insts,
+		textBase:         prog.TextBase,
+		textEnd:          prog.TextEnd(),
+		pred:             pred,
+		hier:             hier,
+		tc:               tc,
+		fill:             fill,
+		eng:              eng,
+		pool:             pool,
+		inflight:         inflight,
+		uops:             s.uops,
+		fetchPC:          prog.Entry,
+		fetchOnPath:      true,
+		fg:               fg,
+		sampWindowCPI:    s.sampWindowCPI[:0],
+		slotScratch:      reuse(s.slotScratch),
+		activatedScratch: reuse(s.activatedScratch),
+		droppedScratch:   s.droppedScratch[:0],
+		rec:              cfg.Recorder,
 	}
 	s.rat.Reset()
-	s.fg.uops = make([]*exec.UOp, 0, trace.MaxInsts)
-	s.fg.segInsts = make([]*trace.SegInst, 0, trace.MaxInsts)
-	s.slotScratch = make([]int, 0, trace.MaxInsts)
-	s.activatedScratch = make([]*exec.UOp, 0, trace.MaxInsts)
-	s.textBase = prog.TextBase
-	s.textEnd = prog.TextEnd()
-	s.text = prog.Insts
 	if err := s.bindOraclePolicies(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Sampling.Enabled() && cfg.Sampling.Seek {
 		if _, ok := s.oracle.(emu.Seeker); !ok {
-			return nil, fmt.Errorf("pipeline: seek-mode sampling needs a seekable oracle (a captured trace or checkpoint log); live emulation cannot seek")
+			return fmt.Errorf("pipeline: seek-mode sampling needs a seekable oracle (a captured trace or checkpoint log); live emulation cannot seek")
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// reuse empties a scratch slice, allocating its first backing array.
+func reuse[T any](s []T) []T {
+	if s == nil {
+		return make([]T, 0, trace.MaxInsts)
+	}
+	return s[:0]
+}
+
+// release returns what the last run left in flight to the pools: the
+// window's uops and their checkpoint snapshots, the fetch latch, the
+// uops waiting out their reclamation watermark, and the trace cache's
+// lines (collected in droppedScratch; Reset recycles them into the fill
+// unit once it has re-initialized it).
+func (s *Simulator) release() {
+	if s.eng == nil {
+		return
+	}
+	for i, n := 0, s.eng.Len(); i < n; i++ {
+		u := s.eng.At(i)
+		if u.HasCheckpoint {
+			s.pool.PutBack(u.CkRAT)
+		}
+		s.uops.Put(u)
+	}
+	s.dropFetchBuf()
+	s.uops.Reclaim(math.MaxUint64) // nothing references a parked uop any more
+	s.droppedScratch = s.tc.Reset(s.droppedScratch[:0])
 }
 
 // bindOraclePolicies hands oracle replacement policies (belady) their

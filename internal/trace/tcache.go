@@ -234,10 +234,15 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.HitLines) / float64(c.Lookups)
 }
 
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
+// Reset clears contents and statistics. It appends the segments it
+// held to dropped and returns it, so the caller can recycle their
+// storage.
+func (c *Cache) Reset(dropped []*Segment) []*Segment {
 	for s := range c.lines {
 		for w := range c.lines[s] {
+			if l := &c.lines[s][w]; l.valid {
+				dropped = append(dropped, l.seg)
+			}
 			c.lines[s][w] = tcLine{}
 		}
 	}
@@ -246,6 +251,7 @@ func (c *Cache) Reset() {
 	c.reuse = ReuseStats{}
 	c.Lookups, c.HitLines, c.MissLines, c.InstsServed, c.Writes = 0, 0, 0, 0, 0
 	c.Bypasses, c.LastRetiredHits = 0, 0
+	return dropped
 }
 
 // Sets reports the set count (test hook).

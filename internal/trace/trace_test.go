@@ -274,9 +274,12 @@ func TestInvalidateContaining(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c, _ := NewCache(CacheConfig{Entries: 64, Ways: 4})
-	c.Insert(mkSeg(0x400000, 4))
+	seg := mkSeg(0x400000, 4)
+	c.Insert(seg)
 	c.Lookup(0x400000, nil)
-	c.Reset()
+	if dropped := c.Reset(nil); len(dropped) != 1 || dropped[0] != seg {
+		t.Errorf("reset handed back %v, want the one resident segment", dropped)
+	}
 	if c.Lookup(0x400000, nil) != nil {
 		t.Error("reset should clear contents")
 	}
