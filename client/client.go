@@ -154,16 +154,6 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 	}
 }
 
-// Sweep runs a batch of (workload, config) cells and returns the
-// aggregated per-cell statistics.
-func (c *Client) Sweep(ctx context.Context, req *SweepRequest) (*SweepResponse, error) {
-	var resp SweepResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sweeps", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Passes lists the registered fill-unit optimization passes.
 func (c *Client) Passes(ctx context.Context) ([]Pass, error) {
 	var ps []Pass

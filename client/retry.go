@@ -9,11 +9,12 @@ import (
 )
 
 // RetryPolicy makes a Client retry transient failures — transport
-// errors, 429 queue_full, 503 draining/not_ready, and gateway 502/504 —
-// with exponential backoff, full jitter, and `Retry-After` honoring.
-// Job and sweep submissions are idempotent by canonical config key (a
-// retried POST lands on the result cache or joins the in-flight run),
-// so replaying them is always safe.
+// errors, 429 queue_full, 503 draining, and 502/504 (a gateway with no
+// node to serve, or a job timeout) — with exponential backoff, full
+// jitter, and `Retry-After` honoring. Job submissions, and so every
+// cell of a Sweep, are idempotent by canonical config key (a retried
+// POST lands on the result cache or joins the in-flight run), so
+// replaying them is always safe.
 //
 // The zero policy disables retries (one attempt), preserving the
 // classic "a 429 surfaces straight to the caller" behavior; opt in with

@@ -116,10 +116,10 @@ type Job struct {
 // Done reports whether the job reached a terminal state.
 func (j *Job) Done() bool { return j.State == StateDone || j.State == StateFailed }
 
-// SweepRequest fans a batch over workloads x configs: every pair becomes
-// one simulation cell, run as a job would be, so cells share the
-// daemon's result cache and deduplicate (within and across sweeps and
-// jobs) by config hash. Sweeps return compact per-cell statistics;
+// SweepRequest is a batch over workloads x configs for Client.Sweep,
+// which submits every pair as one job (POST /v1/jobs), so cells share
+// the daemon's result cache and deduplicate (within and across sweeps
+// and jobs) by config hash. Sweeps return compact per-cell statistics;
 // submit a job for the full tcsim.Result of an interesting cell.
 type SweepRequest struct {
 	// Workloads lists benchmark names (empty = every bundled workload).
@@ -144,9 +144,9 @@ type SweepRow struct {
 	MispredictRate float64 `json:"mispredict_rate"`
 }
 
-// SweepResponse aggregates a sweep. Simulations counts the cells that
-// actually simulated during this request; Cells minus Simulations were
-// result-cache hits or deduplicated onto concurrent identical runs.
+// SweepResponse aggregates a sweep. Simulations counts the cells whose
+// job was not Cached; Cells minus Simulations were result-cache hits or
+// deduplicated onto concurrent identical runs.
 type SweepResponse struct {
 	Rows        []SweepRow `json:"rows"`
 	Cells       int        `json:"cells"`

@@ -1,11 +1,11 @@
 // Command tcgate fronts a tcserved cluster with a consistent-hash
 // sharding gateway: every job routes by its canonical config key onto a
-// static ring of backend nodes, sweeps fan out cell by cell across the
-// cluster, dead nodes are demoted (jobs re-hash to the next ring
-// replica) and promoted back by readiness probes, and the nodes'
-// content-addressed trace exports are proxied as a cluster-wide trace
-// CDN — a workload's correct-path stream is captured at most once
-// across the whole cluster.
+// static ring of backend nodes (client.Sweep submits a sweep's cells as
+// jobs, so they spread the same way), dead nodes are demoted (jobs
+// re-hash to the next ring replica) and promoted back by readiness
+// probes, and the nodes' content-addressed trace exports are proxied as
+// a cluster-wide trace CDN — a workload's correct-path stream is
+// captured at most once across the whole cluster.
 //
 // The gateway speaks the exact wire schema of one tcserved, so every
 // existing client and tool points at it unchanged.
@@ -24,7 +24,7 @@
 //
 //	GET /v1/cluster    per-node health, demotion counts, ring size
 //	GET /v1/trace/{id} collated cross-node span tree for one request ID
-//	GET /metrics       gateway counters + per-node families ({node=...})
+//	GET /metrics       gateway counters and node routability (tcgate_node_up{node=...})
 //	GET /debug/spans   the gateway's own recent spans (?trace= filters)
 //
 // The gateway is where a distributed trace is born: it pins the
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replicas      = fs.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = 128)")
 		probeInterval = fs.Duration("probe-interval", 250*time.Millisecond, "readiness probe spacing")
 		probeTimeout  = fs.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-		sweepConc     = fs.Int("sweep-concurrency", 0, "in-flight sweep cells across the cluster (0 = 4 per node)")
 		drainWait     = fs.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGTERM/SIGINT")
 		logFormat     = fs.String("log-format", "text", "structured log format: text or json")
 		logLevel      = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -93,12 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	g, err := cluster.New(cluster.Config{
-		Nodes:            nodes,
-		Replicas:         *replicas,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		SweepConcurrency: *sweepConc,
-		Logger:           logger,
+		Nodes:         nodes,
+		Replicas:      *replicas,
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		Logger:        logger,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "tcgate: %v\n", err)

@@ -39,4 +39,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if code := run([]string{"-nodes", "http://x", "stray"}, &out, &errb); code != 2 {
 		t.Fatalf("stray args exited %d, want 2", code)
 	}
+	// Retired with the gateway's sweep path: client.Sweep submits jobs.
+	errb.Reset()
+	const retired = "flag provided but not defined: -sweep-concurrency"
+	if code := run([]string{"-nodes", "http://x", "-sweep-concurrency", "8"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), retired) {
+		t.Fatalf("retired -sweep-concurrency exited %d with %q, want 2 and %q", code, errb.String(), retired)
+	}
 }

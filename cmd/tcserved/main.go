@@ -1,8 +1,8 @@
 // Command tcserved runs the simulation-as-a-service daemon: an
 // HTTP/JSON front end over tcsim with a bounded worker pool, a
 // config-hash result cache with singleflight deduplication, an async
-// job store, sweep fan-out, backpressure, live metrics, and graceful
-// drain on SIGTERM.
+// job store, backpressure, live metrics, and graceful drain on SIGTERM.
+// A sweep is client-side: client.Sweep submits each cell as a job.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //
 //	POST /v1/jobs            submit a job (sync; ?async=1 to poll instead)
 //	GET  /v1/jobs/{id}       poll a job: any but a sync cache hit, for -job-ttl
-//	POST /v1/sweeps          batch workloads x configs; each cell runs as a job
 //	GET  /v1/passes          registered fill-unit optimization passes
 //	GET  /v1/policies        registered cache replacement policies
 //	GET  /v1/traces/{sha}    content-addressed trace CDN export (also HEAD)

@@ -64,8 +64,9 @@ func main() {
 	fmt.Printf("async  compress/moves+place IPC %.4f  (job %s, state %s)\n",
 		done.Result.IPC, done.ID, done.State)
 
-	// A sweep: workloads x configs, each cell run as a job, so cells the
-	// jobs above already ran come from the result cache.
+	// A sweep: workloads x configs. client.Sweep submits each cell as a
+	// job, so cells the jobs above already ran come from the result
+	// cache, and the daemon counts every cell as an accepted job.
 	sweep, err := cl.Sweep(ctx, &client.SweepRequest{
 		Workloads: []string{"m88ksim", "compress", "li"},
 		Configs: []client.JobRequest{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"time"
 
 	"tcsim/internal/obs"
 	"tcsim/internal/server"
@@ -61,6 +62,10 @@ func (g *Gateway) nodesTouched(local []obs.Span) []int {
 	}
 	return out
 }
+
+// scrapeTimeout bounds one node's span fetch while collating a trace. A
+// slow node costs the collation this long, not a hung request.
+const scrapeTimeout = 2 * time.Second
 
 // scrapeSpans fetches one node's spans for a trace.
 func (g *Gateway) scrapeSpans(r *http.Request, i int, rid string) ([]obs.Span, error) {

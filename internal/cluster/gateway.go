@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,9 +38,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (0 = 2s).
 	ProbeTimeout time.Duration
-	// SweepConcurrency bounds in-flight sweep cells across the cluster
-	// (0 = 4 per node).
-	SweepConcurrency int
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
 	// Retry is the per-node retry policy for proxied calls: a 429 backs
@@ -51,18 +47,18 @@ type Config struct {
 	Retry client.RetryPolicy
 	// Logger receives gateway events (nil discards).
 	Logger *slog.Logger
-	// HTTPClient overrides the transport used for trace proxying and
-	// node scrapes (nil = a dedicated client).
+	// HTTPClient overrides the transport of every call to a node:
+	// proxied requests, readiness probes, trace proxying and span
+	// collation (nil = a dedicated client).
 	HTTPClient *http.Client
 }
 
-// gwMetrics are the gateway's own counters (node counters are scraped
-// live at exposition time).
+// gwMetrics are the gateway's own counters. A node's counters are on
+// that node's /metrics; the gateway does not restate them.
 type gwMetrics struct {
 	start       time.Time
 	jobsOK      atomic.Uint64
 	jobsErr     atomic.Uint64
-	sweepCells  atomic.Uint64
 	retries     atomic.Uint64 // same-node retry attempts (backoff honored)
 	rehashes    atomic.Uint64 // failovers to the next ring replica
 	demotions   atomic.Uint64
@@ -115,9 +111,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
 	}
-	if cfg.SweepConcurrency <= 0 {
-		cfg.SweepConcurrency = 4 * len(cfg.Nodes)
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
@@ -160,7 +153,6 @@ func New(cfg Config) (*Gateway, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", g.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleGetJob)
-	mux.HandleFunc("POST /v1/sweeps", g.handleSweeps)
 	mux.HandleFunc("GET /v1/passes", g.handlePasses)
 	mux.HandleFunc("GET /v1/policies", g.handlePolicies)
 	mux.HandleFunc("GET /v1/traces/{sha}", g.handleTraces) // also serves HEAD
@@ -509,94 +501,6 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	}
 	root.Finish()
 	relayJob(w, http.StatusOK, node, job)
-}
-
-// handleSweeps implements POST /v1/sweeps: the gateway expands the
-// cross product exactly as a node would, routes every cell by its
-// canonical key, forwards each as a single-cell sweep under a bounded
-// semaphore, and merges rows back in cell order. Identical cells land
-// on the same node by construction, so the cluster-wide dedup rate
-// matches a single node's.
-func (g *Gateway) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	rctx, root, _ := g.startRoot(w, r)
-	defer root.Finish()
-	var req client.SweepRequest
-	if !server.DecodeBody(w, r, g.cfg.MaxBodyBytes, &req) {
-		root.SetAttr("outcome", "bad_request")
-		return
-	}
-	cells, err := server.ResolveSweepCells(&req, server.Limits{})
-	if err != nil {
-		root.SetError(err)
-		if server.IsBadRequest(err) {
-			server.WriteError(w, http.StatusBadRequest, "invalid_argument", err.Error(), 0)
-		} else {
-			server.WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-		}
-		return
-	}
-	root.SetAttr("cells", strconv.Itoa(len(cells)))
-	g.met.sweepCells.Add(uint64(len(cells)))
-	t0 := time.Now()
-	ctx, cancel := context.WithCancel(rctx)
-	defer cancel()
-
-	rows := make([]client.SweepRow, len(cells))
-	errs := make([]error, len(cells))
-	var sims atomic.Uint64
-	sem := make(chan struct{}, g.cfg.SweepConcurrency)
-	var wg sync.WaitGroup
-	for i, cell := range cells {
-		wg.Add(1)
-		go func(i int, cell server.SweepCell) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			one := &client.SweepRequest{
-				Workloads: []string{cell.Workload},
-				Configs:   []client.JobRequest{cell.Req},
-			}
-			resp, _, err := tryNodes(g, ctx, g.ring.Order(cell.Key), func(ctx context.Context, _ int, c *client.Client) (*client.SweepResponse, error) {
-				return c.Sweep(ctx, one)
-			})
-			if err != nil {
-				errs[i] = err
-				cancel()
-				return
-			}
-			if len(resp.Rows) != 1 {
-				errs[i] = fmt.Errorf("cluster: node returned %d rows for one cell", len(resp.Rows))
-				cancel()
-				return
-			}
-			sims.Add(resp.Simulations)
-			rows[i] = resp.Rows[0]
-		}(i, cell)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			root.SetError(err)
-			g.writeUpstream(w, err)
-			return
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		g.writeUpstream(w, err)
-		return
-	}
-	root.Finish()
-	server.WriteJSON(w, http.StatusOK, &client.SweepResponse{
-		Rows:        rows,
-		Cells:       len(cells),
-		Simulations: sims.Load(),
-		WallMS:      float64(time.Since(t0).Microseconds()) / 1000,
-	})
 }
 
 // --- registry proxies ---

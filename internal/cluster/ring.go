@@ -1,6 +1,6 @@
 // Package cluster turns a set of tcserved nodes into one horizontally
 // scalable service: a consistent-hash sharding gateway routes each job
-// by its canonical config key, fans sweeps out cell by cell, checks
+// by its canonical config key (a client-side sweep is just jobs), checks
 // node health (demoted nodes re-hash to the next ring replica), and
 // serves a content-addressed trace CDN so every workload is captured at
 // most once cluster-wide.

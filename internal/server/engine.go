@@ -194,8 +194,7 @@ func (e *Engine) RetryAfter() time.Duration {
 
 // Run executes one admitted job: cache lookup, singleflight join, or an
 // actual simulation in a worker slot under the job's timeout. The
-// caller must hold an admission token from Admit for the duration (a
-// sweep's cells share the sweep's token).
+// caller must hold an admission token from Admit for the duration.
 // It returns the result's cache entry; the returned cached flag covers
 // both cache hits and dedup joins.
 func (e *Engine) Run(ctx context.Context, r resolved) (*cacheEntry, bool, error) {

@@ -48,9 +48,6 @@ type metrics struct {
 	simInsts     atomic.Uint64
 	simBusyNanos atomic.Int64
 
-	sweepCells atomic.Uint64
-	sweepSims  atomic.Uint64 // sweep cells that missed the cache and ran
-
 	tcBypasses atomic.Uint64 // trace-cache fills the policy rejected
 
 	// Sampled-timing aggregates across executed jobs (zero until a job

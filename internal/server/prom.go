@@ -11,7 +11,7 @@ import (
 // exposition format (version 0.0.4), the daemon's only metrics view.
 // The exposition is written through the dependency-free obs.Expo
 // writer; obs.ParseExposition, which client.Client.Metrics applies for
-// the gateway and the tests, validates exactly this output.
+// the tests and examples, validates exactly this output.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ExpoContentType)
 	m := s.engine.met
@@ -46,22 +46,16 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		"Cache hits over all lookups since start (0 before any lookup).", ratio)
 
 	e.Gauge("tcserved_queue_depth",
-		"Simulations (jobs and sweep cells) waiting for a worker slot.",
+		"Simulations waiting for a worker slot.",
 		float64(m.waiting.Load()))
 	e.Gauge("tcserved_jobs_in_flight",
-		"Simulations (jobs and sweep cells) running right now.", float64(m.inflight.Load()))
+		"Simulations running right now.", float64(m.inflight.Load()))
 
 	e.Counter("tcserved_sim_insts_total",
 		"Retired instructions simulated by executed jobs.", float64(m.simInsts.Load()))
 	e.Counter("tcserved_sim_busy_seconds_total",
 		"Cumulative wall time of executed simulations.",
 		time.Duration(m.simBusyNanos.Load()).Seconds())
-
-	e.Counter("tcserved_sweep_cells_total",
-		"Sweep cells resolved across all sweep requests.", float64(m.sweepCells.Load()))
-	e.Counter("tcserved_sweep_simulations_total",
-		"Sweep cells that missed the result cache and simulated (cache hits and singleflight joins excluded).",
-		float64(m.sweepSims.Load()))
 
 	passes := m.passSnapshot()
 	if len(passes) > 0 {

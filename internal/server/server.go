@@ -42,8 +42,8 @@ type Config struct {
 	FlightDir string
 }
 
-// Server is the tcserved HTTP front end: job lifecycle, sweeps, pass
-// registry, health, and metrics. Create with New, mount via Handler,
+// Server is the tcserved HTTP front end: job lifecycle, pass registry,
+// health, and metrics. Create with New, mount via Handler,
 // stop with Shutdown.
 type Server struct {
 	cfg     Config
@@ -93,7 +93,6 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
 	mux.HandleFunc("GET /v1/passes", s.handlePasses)
 	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
 	mux.HandleFunc("GET /v1/traces/{sha}", s.handleTrace) // also serves HEAD
@@ -374,37 +373,6 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 			"or a synchronous cache hit, which keeps no record", id, s.jobs.ttl, maxFinishedJobs), 0)
 	}
 	return j, ok
-}
-
-// handleSweep implements POST /v1/sweeps: resolve the cross product,
-// run every cell as an engine job (result cache, singleflight, worker
-// slots and per-job timeout, exactly as POST /v1/jobs), aggregate.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req client.SweepRequest
-	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	cells, err := resolveSweep(&req, s.engine.Limits())
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	// A sweep occupies one admission token end to end, so the daemon
-	// bounds how many sweeps stack up; its cells then share the worker
-	// slots with every other job.
-	release, err := s.engine.Admit()
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	defer release()
-	s.engine.met.sweepCells.Add(uint64(len(cells)))
-	resp, err := s.engine.runSweep(r.Context(), cells)
-	if err != nil {
-		s.writeRunError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePasses implements GET /v1/passes from the pass registry.

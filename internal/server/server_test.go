@@ -411,9 +411,10 @@ func TestSweepMatchesJobs(t *testing.T) {
 	}
 }
 
-// TestSweepQueueDepth: sweep cells take worker slots like jobs. With one
-// worker, a 3-cell sweep runs one cell while the other two wait for the
-// slot, and the exposition reads exactly that.
+// TestSweepQueueDepth: a sweep's cells are jobs and take worker slots
+// like any other. With one worker, a 3-cell sweep runs one cell while
+// the other two wait for the slot, the exposition reads exactly that,
+// and the daemon counts three accepted jobs.
 func TestSweepQueueDepth(t *testing.T) {
 	srv, cl := newTestServer(t, Config{Engine: EngineConfig{Workers: 1}})
 	fake := &fakeSim{release: make(chan struct{})}
@@ -421,6 +422,12 @@ func TestSweepQueueDepth(t *testing.T) {
 	release := sync.OnceFunc(func() { close(fake.release) })
 	defer release() // a failed assertion must not leave the cells blocked
 	ctx := context.Background()
+	const accepted = `tcserved_jobs_total{event="accepted"}`
+	met, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted0 := met[accepted]
 	done := make(chan error, 1)
 	go func() {
 		_, err := cl.Sweep(ctx, &client.SweepRequest{Workloads: []string{"m88ksim", "compress", "li"}, Insts: 1000})
@@ -450,15 +457,14 @@ func TestSweepQueueDepth(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	met, err := cl.Metrics(ctx)
+	met, err = cl.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for sample, want := range map[string]float64{
-		"tcserved_queue_depth":             0,
-		"tcserved_jobs_in_flight":          0,
-		"tcserved_sweep_cells_total":       3,
-		"tcserved_sweep_simulations_total": 3,
+		"tcserved_queue_depth":    0,
+		"tcserved_jobs_in_flight": 0,
+		accepted:                  accepted0 + 3,
 	} {
 		if got := met[sample]; got != want {
 			t.Errorf("after the sweep %s = %v, want %v", sample, got, want)

@@ -1,8 +1,9 @@
 // Package server implements tcserved, the simulation-as-a-service
 // daemon: an HTTP/JSON front end over the tcsim simulator with a
 // bounded worker pool, a canonical-config-hash result cache with
-// singleflight deduplication, a bounded store of pollable jobs, sweeps
-// whose cells run as engine jobs, backpressure, and live metrics.
+// singleflight deduplication, a bounded store of pollable jobs,
+// backpressure, and live metrics. A sweep is not a daemon endpoint:
+// client.Sweep submits each cell as an ordinary job.
 package server
 
 import (

@@ -285,68 +285,6 @@ func TestDebugTraceMergedOutput(t *testing.T) {
 	}
 }
 
-// TestSweepCellSpans: every sweep cell runs under its own span, a child
-// of the request's serve span, which groups the cell's engine spans
-// (cache-lookup, queue-wait, run); the trace store's capture/replay
-// phase lands on the cell's own run span instead of on one span
-// written from every cell goroutine.
-func TestSweepCellSpans(t *testing.T) {
-	srv, cl := newTestServer(t, Config{})
-	rid := "trace-sweep-1"
-	req := &client.SweepRequest{
-		Workloads: []string{"m88ksim", "compress"},
-		Configs:   []client.JobRequest{{}, {Preset: client.PresetAll}},
-		Insts:     testInsts,
-	}
-	if _, err := cl.Sweep(client.WithRequestID(context.Background(), rid), req); err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	var serveID string
-	var cells []obs.Span
-	var children map[string]map[string]obs.Span // parent span ID -> name -> span
-	deadline := time.Now().Add(2 * time.Second)
-	for serveID == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no serve span for %s after 2s", rid)
-		}
-		time.Sleep(5 * time.Millisecond)
-		cells = cells[:0]
-		children = map[string]map[string]obs.Span{}
-		for _, s := range srv.spans.Dump(rid).Spans {
-			switch s.Name {
-			case "POST /v1/sweeps":
-				serveID = s.SpanID
-			case "sweep-cell":
-				cells = append(cells, s)
-			default:
-				if children[s.ParentID] == nil {
-					children[s.ParentID] = map[string]obs.Span{}
-				}
-				children[s.ParentID][s.Name] = s
-			}
-		}
-	}
-	if len(cells) != 4 {
-		t.Fatalf("%d sweep-cell spans, want one per cell (4): %v", len(cells), cells)
-	}
-	for _, c := range cells {
-		if c.ParentID != serveID {
-			t.Errorf("sweep-cell %v parented under %q, want the serve span %q", c.Attrs, c.ParentID, serveID)
-		}
-		if c.Attrs["workload"] == "" || c.Attrs["key"] == "" {
-			t.Errorf("sweep-cell missing workload/key attrs: %v", c.Attrs)
-		}
-		for _, name := range []string{"cache-lookup", "queue-wait", "run"} {
-			if _, ok := children[c.SpanID][name]; !ok {
-				t.Errorf("sweep-cell %v has no %s child span", c.Attrs, name)
-			}
-		}
-		if p := children[c.SpanID]["run"].Attrs["phase"]; p != "capture" && p != "replay" {
-			t.Errorf("sweep-cell %v run phase = %q, want capture or replay", c.Attrs, p)
-		}
-	}
-}
-
 // doneSignal is a request context that signals on waiting when its Done
 // channel is first asked for. A job request asks for it only to wait:
 // on another request's simulation of its key, or for a worker slot.
