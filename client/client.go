@@ -224,10 +224,10 @@ func (c *Client) Cluster(ctx context.Context) (*ClusterStatus, error) {
 }
 
 // do issues one JSON exchange, retrying per the client's RetryPolicy:
-// transient failures (transport errors, 429/502/503/504) back off with
-// jittered exponential delays honoring Retry-After, until the policy's
-// attempt budget or the context runs out. The zero policy means exactly
-// one attempt.
+// transient failures (transport errors, 429/502/503, a 504 other than a
+// job timeout; see Retryable) back off with jittered exponential delays
+// honoring Retry-After, until the policy's attempt budget or the
+// context runs out. The zero policy means exactly one attempt.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	attempts := c.retry.MaxAttempts
 	if attempts < 1 {

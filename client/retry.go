@@ -9,12 +9,12 @@ import (
 )
 
 // RetryPolicy makes a Client retry transient failures — transport
-// errors, 429 queue_full, 503 draining, and 502/504 (a gateway with no
-// node to serve, or a job timeout) — with exponential backoff, full
-// jitter, and `Retry-After` honoring. Job submissions, and so every
-// cell of a Sweep, are idempotent by canonical config key (a retried
-// POST lands on the result cache or joins the in-flight run), so
-// replaying them is always safe.
+// errors, 429 queue_full, 503 draining, 502 (a gateway with no node to
+// serve) and a 504 other than a job's own timeout — with exponential
+// backoff, full jitter, and `Retry-After` honoring. Job submissions,
+// and so every cell of a Sweep, are idempotent by canonical config key
+// (a retried POST lands on the result cache or joins the in-flight
+// run), so replaying them is always safe.
 //
 // The zero policy disables retries (one attempt), preserving the
 // classic "a 429 surfaces straight to the caller" behavior; opt in with
@@ -58,9 +58,11 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 
 // Retryable reports whether an error is worth retrying: transport
 // failures (the daemon may be restarting, the gateway may re-route) and
-// the load-shedding statuses 429, 502, 503, 504. Context cancellation
-// and every other API error (validation, not-found, simulation failure)
-// are terminal.
+// the load-shedding statuses 429, 502, 503, 504. A 504 whose code is
+// "timeout" is the job's own timeout_ms expiring: a rerun of the same
+// job would time out again, so it is terminal, like context
+// cancellation and every other API error (validation, not-found,
+// simulation failure).
 func Retryable(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
@@ -68,14 +70,23 @@ func Retryable(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		switch ae.Status {
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
 			return true
+		case http.StatusGatewayTimeout:
+			return !ae.JobTimeout()
 		}
 		return false
 	}
 	// Anything else at this layer is a transport-level failure.
 	return true
+}
+
+// JobTimeout reports a job's own timeout: the 504 with code "timeout"
+// a daemon answers when the job's timeout_ms expired. It is the job's
+// answer, not a failure of the node that ran it, so neither a client
+// retry nor the gateway's failover runs the job again.
+func (e *APIError) JobTimeout() bool {
+	return e.Status == http.StatusGatewayTimeout && e.Code == "timeout"
 }
 
 // backoff computes the sleep before retrying after the attempt-th

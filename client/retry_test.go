@@ -99,6 +99,31 @@ func TestNoRetryOnTerminalError(t *testing.T) {
 	}
 }
 
+// TestJobTimeoutIsTerminal: a 504 with code "timeout" is the job's own
+// timeout and surfaces after one attempt; a 504 with any other code (an
+// unstructured proxy timeout reads "http_error") is still retried.
+func TestJobTimeoutIsTerminal(t *testing.T) {
+	cl, n := flakyServer(t, 1000, http.StatusGatewayTimeout, "timeout", 0)
+	cl.WithRetry(fastRetry(4))
+	_, err := cl.SubmitJob(context.Background(), &JobRequest{Workload: "vector_sum"})
+	var ae *APIError
+	if !errors.As(err, &ae) || !ae.JobTimeout() {
+		t.Fatalf("err = %v, want the 504 timeout APIError", err)
+	}
+	if got := n.Load(); got != 1 {
+		t.Errorf("server saw %d requests, want 1 (a job timeout is terminal)", got)
+	}
+
+	cl, n = flakyServer(t, 2, http.StatusGatewayTimeout, "http_error", 0)
+	cl.WithRetry(fastRetry(4))
+	if _, err := cl.SubmitJob(context.Background(), &JobRequest{Workload: "vector_sum"}); err != nil {
+		t.Fatalf("SubmitJob after two other 504s: %v", err)
+	}
+	if got := n.Load(); got != 3 {
+		t.Errorf("server saw %d requests, want 3 (other 504s are retried)", got)
+	}
+}
+
 // TestRetryHonorsRetryAfterClamped: the server suggests a 1s backoff but
 // MaxDelay clamps it, so three attempts complete far sooner than the two
 // suggested seconds. OnRetry observes the clamped delays.

@@ -241,7 +241,7 @@ func (g *Gateway) writeUpstream(w http.ResponseWriter, err error) {
 // forward the ID; the returned finish must run before the response body
 // is written, so a client that immediately asks GET /v1/trace/{rid}
 // finds the root already committed.
-func (g *Gateway) startRoot(w http.ResponseWriter, r *http.Request) (context.Context, *obs.Span, string) {
+func (g *Gateway) startRoot(w http.ResponseWriter, r *http.Request) (context.Context, *obs.ActiveSpan, string) {
 	rid := obs.SanitizeID(r.Header.Get("X-Request-ID"))
 	if rid == "" {
 		rid = obs.NewSpanID()
@@ -254,18 +254,20 @@ func (g *Gateway) startRoot(w http.ResponseWriter, r *http.Request) (context.Con
 
 // terminalUpstream reports errors that prove the request itself is bad
 // (or genuinely done): a structured backend response other than the
-// load-shedding statuses. Those pass through; everything else — 429 after
-// the per-node retry budget, 5xx, transport failures — triggers
-// failover to the next ring replica.
+// load-shedding statuses, and a job's own timeout (a 504 with code
+// "timeout"), which every replica would answer alike. Those pass
+// through; everything else — 429 after the per-node retry budget, other
+// 5xx, transport failures — triggers failover to the next ring replica.
 func terminalUpstream(err error) bool {
 	var ae *client.APIError
 	if !errors.As(err, &ae) {
 		return false
 	}
 	switch ae.Status {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
 		return false
+	case http.StatusGatewayTimeout:
+		return ae.JobTimeout()
 	}
 	return true
 }
@@ -293,10 +295,7 @@ func tryNodes[T any](g *Gateway, ctx context.Context, order []int, call func(ctx
 			candidates = append(candidates, i)
 		}
 	}
-	traceID := ""
-	if rs := obs.SpanFrom(ctx); rs != nil {
-		traceID = rs.TraceID
-	}
+	traceID := obs.SpanFrom(ctx).TraceID()
 	var lastErr error
 	for _, i := range candidates {
 		if err := ctx.Err(); err != nil {

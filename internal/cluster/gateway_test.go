@@ -750,6 +750,49 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 }
 
+// TestGatewayJobTimeoutIsTerminal: a job whose own timeout_ms expires
+// is answered 504 timeout by the node that ran it, and that answer is
+// the cluster's. The gateway relays it without a same-node retry, a
+// re-hash or a demotion, the job runs on one node once, and a client
+// with a retry policy takes the 504 after one attempt.
+func TestGatewayJobTimeoutIsTerminal(t *testing.T) {
+	_, gts, nodes := testCluster(t, 3)
+	ctx := context.Background()
+	retries := 0
+	p := client.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+		OnRetry: func(int, error, time.Duration) { retries++ }}
+	cl := client.New(gts.URL).WithRetry(p)
+	_, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "gcc", Insts: 200_000, TimeoutMS: 1})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || !ae.JobTimeout() {
+		t.Fatalf("SubmitJob = %v, want the job's 504 timeout", err)
+	}
+	if retries != 0 {
+		t.Errorf("the client retried a job timeout %d times", retries)
+	}
+	var accepted, failed float64
+	for _, n := range nodes {
+		m := mustMetrics(t, n)
+		accepted += m[`tcserved_jobs_total{event="accepted"}`]
+		failed += m[`tcserved_jobs_total{event="failed"}`]
+	}
+	if accepted != 1 || failed != 1 {
+		t.Errorf("the nodes accepted %v and failed %v jobs, want the one job run once", accepted, failed)
+	}
+	gm, err := client.New(gts.URL).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tcgate_retries_total", "tcgate_rehashes_total", "tcgate_demotions_total"} {
+		if gm[name] != 0 {
+			t.Errorf("%s = %v after a job timeout, want 0", name, gm[name])
+		}
+	}
+	if got := gm["tcgate_nodes_healthy"]; got != 3 {
+		t.Errorf("tcgate_nodes_healthy = %v, want 3", got)
+	}
+}
+
 func mustMetrics(t *testing.T, n *testNode) map[string]float64 {
 	t.Helper()
 	m, err := client.New(n.ts.URL).Metrics(context.Background())

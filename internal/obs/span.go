@@ -23,11 +23,11 @@ import (
 // or a dump file (WriteDump).
 //
 // Everything here is nil-safe by design: a nil *Spanner starts nil
-// *Spans, and every method on a nil *Span is a no-op, so code threaded
-// with tracing pays a nil check when tracing is off. The simulator's
-// cycle loop is never touched — spans live strictly in the serving
-// layer, which is how BenchmarkCycleLoop stays at 0 allocs/op with
-// tracing compiled in.
+// *ActiveSpans, and every method on a nil *ActiveSpan is a no-op, so
+// code threaded with tracing pays a nil check when tracing is off. The
+// simulator's cycle loop is never touched — spans live strictly in the
+// serving layer, which is how BenchmarkCycleLoop stays at 0 allocs/op
+// with tracing compiled in.
 
 // TraceParentHeader carries span context between services, in the shape
 // of a W3C traceparent but with this system's IDs:
@@ -72,18 +72,22 @@ func ParseTraceParent(v string) string {
 }
 
 // NewSpanID mints a 16-hex-digit random span ID (also used as a request
-// ID by edges that must pin one before proxying).
+// ID by edges that must pin one before proxying). The string is its one
+// allocation.
 func NewSpanID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("obs: crypto/rand unavailable: " + err.Error())
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
-// Span is one timed operation inside a trace. A span is owned by the
-// goroutine that started it until Finish, which commits it (by value)
-// to its ring; the struct itself is not safe for concurrent mutation.
+// Span is one finished span as its readers see it: the JSON shape of
+// every view of a ring (GET /debug/spans, the dump files, the gateway's
+// /v1/trace collation, the service half of /debug/trace). A ring keeps
+// no Spans; it builds them from its records when something reads it.
 type Span struct {
 	TraceID  string            `json:"trace_id"`
 	SpanID   string            `json:"span_id"`
@@ -94,55 +98,141 @@ type Span struct {
 	End      time.Time         `json:"end"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
 	Error    string            `json:"error,omitempty"`
+}
 
-	ring *SpanRing // destination; nil once committed (or for a no-op span)
+// attr is one span attribute.
+type attr struct{ k, v string }
+
+// setAttr sets k to v in attrs, replacing an earlier value of k: the
+// last value set wins, as in the view's map.
+func setAttr(attrs []attr, k, v string) []attr {
+	for i := range attrs {
+		if attrs[i].k == k {
+			attrs[i].v = v
+			return attrs
+		}
+	}
+	return append(attrs, attr{k, v})
+}
+
+// spanRecord is a span as its ring keeps it: a fixed-size slot holding
+// the strings the span was given, its times as Unix nanoseconds, and
+// its attributes in one exact-size slice (nil without any).
+type spanRecord struct {
+	traceID, spanID, parentID, service, name, err string
+	start, end                                    int64
+	attrs                                         []attr
+}
+
+// view builds the record's Span, in the local time zone as time.Now
+// stamps it.
+func (r *spanRecord) view() Span {
+	s := Span{
+		TraceID:  r.traceID,
+		SpanID:   r.spanID,
+		ParentID: r.parentID,
+		Service:  r.service,
+		Name:     r.name,
+		Start:    time.Unix(0, r.start),
+		End:      time.Unix(0, r.end),
+		Error:    r.err,
+	}
+	if len(r.attrs) > 0 {
+		s.Attrs = make(map[string]string, len(r.attrs))
+		for _, a := range r.attrs {
+			s.Attrs[a.k] = a.v
+		}
+	}
+	return s
+}
+
+// inlineAttrs is how many attributes an open span holds before its
+// buffer moves to the heap: serve and attempt spans set at most three
+// and the gateway's root span four (five for an async job); a run
+// span's per-pass attributes spill.
+const inlineAttrs = 4
+
+// ActiveSpan is an open span: one timed operation inside a trace,
+// owned by the goroutine that started it until Finish, which commits
+// its record to its ring. It is not safe for concurrent mutation.
+type ActiveSpan struct {
+	rec  spanRecord // rec.attrs is buf's prefix until it outgrows it
+	buf  [inlineAttrs]attr
+	ring *SpanRing // destination; nil once committed
 }
 
 // ID returns the span's ID ("" on nil, so callers can propagate it
 // unconditionally).
-func (s *Span) ID() string {
+func (s *ActiveSpan) ID() string {
 	if s == nil {
 		return ""
 	}
-	return s.SpanID
+	return s.rec.spanID
 }
 
-// SetAttr attaches a small key/value to the span. No-op on nil.
-func (s *Span) SetAttr(k, v string) {
+// TraceID returns the ID of the span's trace ("" on nil).
+func (s *ActiveSpan) TraceID() string {
+	if s == nil {
+		return ""
+	}
+	return s.rec.traceID
+}
+
+// SetAttr attaches a small key/value to the span; setting a key again
+// replaces its value. No-op on nil.
+func (s *ActiveSpan) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string, 4)
+	if s.rec.attrs == nil {
+		s.rec.attrs = s.buf[:0]
 	}
-	s.Attrs[k] = v
+	s.rec.attrs = setAttr(s.rec.attrs, k, v)
 }
 
 // SetError records a failure on the span. No-op on nil or nil err.
-func (s *Span) SetError(err error) {
+func (s *ActiveSpan) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.Error = err.Error()
+	s.rec.err = err.Error()
+}
+
+// SetStart moves the span's start back to t, for a span opened once
+// the wait it times is over. No-op on nil.
+func (s *ActiveSpan) SetStart(t time.Time) {
+	if s == nil {
+		return
+	}
+	s.rec.start = t.UnixNano()
 }
 
 // Finish stamps the end time and commits the span to its ring. Safe to
 // call on nil; calling twice commits once.
-func (s *Span) Finish() {
-	if s == nil || s.ring == nil {
+func (s *ActiveSpan) Finish() {
+	if s == nil {
 		return
 	}
-	if s.End.IsZero() {
-		s.End = time.Now()
-	}
+	s.finish(time.Now().UnixNano())
+}
+
+func (s *ActiveSpan) finish(end int64) {
 	r := s.ring
+	if r == nil {
+		return
+	}
 	s.ring = nil
-	r.add(*s)
+	rec := s.rec
+	rec.end = end
+	if rec.attrs != nil { // the open span's buffer: the record gets its own
+		rec.attrs = append(make([]attr, 0, len(rec.attrs)), rec.attrs...)
+	}
+	r.add(&rec)
 }
 
 // --- context plumbing ---
 
-type spanCtxKey struct{}   // *Span: the active local span
+type spanCtxKey struct{}   // *ActiveSpan: the active local span
 type remoteCtxKey struct{} // SpanContext: a parent in another process
 
 // SpanContext is the cross-process half of a span identity: enough to
@@ -166,10 +256,23 @@ func RemoteFrom(ctx context.Context) (SpanContext, bool) {
 }
 
 // SpanFrom returns the active span on ctx (nil outside a traced call
-// path — every Span method tolerates that).
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
+// path — every ActiveSpan method tolerates that).
+func SpanFrom(ctx context.Context) *ActiveSpan {
+	s, _ := ctx.Value(spanCtxKey{}).(*ActiveSpan)
 	return s
+}
+
+// parentOf names the span that spans started from ctx parent under:
+// the active local span first, else a remote SpanContext. ok is false
+// when ctx carries no trace to join.
+func parentOf(ctx context.Context) (traceID, parentID string, ok bool) {
+	if p := SpanFrom(ctx); p != nil {
+		return p.rec.traceID, p.rec.spanID, true
+	}
+	if rc, found := RemoteFrom(ctx); found && rc.TraceID != "" {
+		return rc.TraceID, rc.SpanID, true
+	}
+	return "", "", false
 }
 
 // Detach carries src's span identity into dst as a remote parent, for
@@ -178,7 +281,7 @@ func SpanFrom(ctx context.Context) *Span {
 // request's span).
 func Detach(dst, src context.Context) context.Context {
 	if sp := SpanFrom(src); sp != nil {
-		return ContextWithRemote(dst, SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID})
+		return ContextWithRemote(dst, SpanContext{TraceID: sp.rec.traceID, SpanID: sp.rec.spanID})
 	}
 	if sc, ok := RemoteFrom(src); ok {
 		return ContextWithRemote(dst, sc)
@@ -190,21 +293,12 @@ func Detach(dst, src context.Context) context.Context {
 // service and ring. Returns (ctx, nil) when there is no active span —
 // deep layers (the trace store) can call it unconditionally without
 // holding a Spanner.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	parent := SpanFrom(ctx)
 	if parent == nil || parent.ring == nil {
 		return ctx, nil
 	}
-	s := &Span{
-		TraceID:  parent.TraceID,
-		SpanID:   NewSpanID(),
-		ParentID: parent.SpanID,
-		Service:  parent.Service,
-		Name:     name,
-		Start:    time.Now(),
-		ring:     parent.ring,
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s), s
+	return start(ctx, parent.ring, parent.rec.service, parent.rec.traceID, parent.rec.spanID, name)
 }
 
 // --- Spanner: the per-process span starter ---
@@ -234,54 +328,71 @@ func (sp *Spanner) Service() string {
 // Start opens a span as a child of whatever parent ctx carries: the
 // active local span first, else a remote SpanContext. With neither
 // there is no trace to join and Start returns (ctx, nil).
-func (sp *Spanner) Start(ctx context.Context, name string) (context.Context, *Span) {
+func (sp *Spanner) Start(ctx context.Context, name string) (context.Context, *ActiveSpan) {
 	if sp == nil {
 		return ctx, nil
 	}
-	if parent := SpanFrom(ctx); parent != nil {
-		return sp.start(ctx, parent.TraceID, parent.SpanID, name)
+	traceID, parentID, ok := parentOf(ctx)
+	if !ok {
+		return ctx, nil
 	}
-	if rc, ok := RemoteFrom(ctx); ok && rc.TraceID != "" {
-		return sp.start(ctx, rc.TraceID, rc.SpanID, name)
-	}
-	return ctx, nil
+	return start(ctx, sp.ring, sp.service, traceID, parentID, name)
 }
 
 // StartRemote opens a span in trace traceID under a (possibly empty)
 // remote parent span ID — the middleware entry point, where the trace
 // ID is the request ID and the parent came in on X-Trace-Parent.
-func (sp *Spanner) StartRemote(ctx context.Context, traceID, parentID, name string) (context.Context, *Span) {
+func (sp *Spanner) StartRemote(ctx context.Context, traceID, parentID, name string) (context.Context, *ActiveSpan) {
 	if sp == nil || traceID == "" {
 		return ctx, nil
 	}
-	return sp.start(ctx, traceID, parentID, name)
+	return start(ctx, sp.ring, sp.service, traceID, parentID, name)
 }
 
-func (sp *Spanner) start(ctx context.Context, traceID, parentID, name string) (context.Context, *Span) {
-	s := &Span{
-		TraceID:  traceID,
-		SpanID:   NewSpanID(),
-		ParentID: parentID,
-		Service:  sp.service,
-		Name:     name,
-		Start:    time.Now(),
-		ring:     sp.ring,
+func start(ctx context.Context, ring *SpanRing, service, traceID, parentID, name string) (context.Context, *ActiveSpan) {
+	s := &ActiveSpan{
+		rec: spanRecord{
+			traceID:  traceID,
+			spanID:   NewSpanID(),
+			parentID: parentID,
+			service:  service,
+			name:     name,
+			start:    time.Now().UnixNano(),
+		},
+		ring: ring,
 	}
 	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
 
 // Event records an instantaneous span (start == end): a point fact like
-// a cache-lookup outcome that still belongs in the tree.
+// a cache-lookup outcome that still belongs in the tree. attrs are
+// key/value pairs. It commits the record directly: no open span, no
+// context.
 func (sp *Spanner) Event(ctx context.Context, name string, attrs ...string) {
-	_, s := sp.Start(ctx, name)
-	if s == nil {
+	if sp == nil {
 		return
 	}
-	for i := 0; i+1 < len(attrs); i += 2 {
-		s.SetAttr(attrs[i], attrs[i+1])
+	traceID, parentID, ok := parentOf(ctx)
+	if !ok {
+		return
 	}
-	s.End = s.Start
-	s.Finish()
+	now := time.Now().UnixNano()
+	rec := spanRecord{
+		traceID:  traceID,
+		spanID:   NewSpanID(),
+		parentID: parentID,
+		service:  sp.service,
+		name:     name,
+		start:    now,
+		end:      now,
+	}
+	if n := len(attrs) / 2; n > 0 {
+		rec.attrs = make([]attr, 0, n)
+		for i := 0; i+1 < len(attrs); i += 2 {
+			rec.attrs = setAttr(rec.attrs, attrs[i], attrs[i+1])
+		}
+	}
+	sp.ring.add(&rec)
 }
 
 // --- SpanRing: the bounded collector ---
@@ -291,11 +402,13 @@ const DefaultSpanRingCap = 4096
 
 // SpanRing is a bounded, concurrency-safe ring of finished spans: the
 // storage behind a process's /debug/spans and its dump files. Commit
-// is a mutex plus a copy into a preallocated slot — cheap enough to
-// leave always-on in the serving layer. Oldest spans drop first.
+// is a mutex plus a copy of the span's record into a preallocated slot
+// — cheap enough to leave always-on in the serving layer. A resident
+// span costs its slot, its ID and its attribute slice; its Span view is
+// built only when the ring is read. Oldest spans drop first.
 type SpanRing struct {
 	mu      sync.Mutex
-	ring    []Span
+	ring    []spanRecord
 	head    int
 	wrapped bool
 	dropped uint64
@@ -307,16 +420,15 @@ func NewSpanRing(capSpans int) *SpanRing {
 	if capSpans <= 0 {
 		capSpans = DefaultSpanRingCap
 	}
-	return &SpanRing{ring: make([]Span, capSpans)}
+	return &SpanRing{ring: make([]spanRecord, capSpans)}
 }
 
-func (r *SpanRing) add(s Span) {
-	s.ring = nil
+func (r *SpanRing) add(rec *spanRecord) {
 	r.mu.Lock()
 	if r.wrapped {
 		r.dropped++
 	}
-	r.ring[r.head] = s
+	r.ring[r.head] = *rec
 	r.head++
 	if r.head == len(r.ring) {
 		r.head = 0
@@ -349,27 +461,28 @@ func (r *SpanRing) Dropped() uint64 {
 	return r.dropped
 }
 
-// Snapshot copies out the resident spans, oldest first.
+// Snapshot builds the views of the resident spans, oldest first.
 func (r *SpanRing) Snapshot() []Span {
-	return r.filter(func(*Span) bool { return true })
+	return r.filter(func(*spanRecord) bool { return true })
 }
 
-// ByTrace copies out the resident spans of one trace, oldest first.
+// ByTrace builds the views of the resident spans of one trace, oldest
+// first.
 func (r *SpanRing) ByTrace(traceID string) []Span {
-	return r.filter(func(s *Span) bool { return s.TraceID == traceID })
+	return r.filter(func(rec *spanRecord) bool { return rec.traceID == traceID })
 }
 
-func (r *SpanRing) filter(keep func(*Span) bool) []Span {
+func (r *SpanRing) filter(keep func(*spanRecord) bool) []Span {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Span, 0, 16)
-	appendFrom := func(part []Span) {
+	appendFrom := func(part []spanRecord) {
 		for i := range part {
 			if keep(&part[i]) {
-				out = append(out, part[i])
+				out = append(out, part[i].view())
 			}
 		}
 	}
@@ -464,7 +577,6 @@ func BuildSpanTree(traceID string, spans []Span) *SpanTree {
 		if _, dup := nodes[s.SpanID]; dup {
 			continue
 		}
-		s.ring = nil
 		n := &SpanNode{Span: s}
 		nodes[s.SpanID] = n
 		order = append(order, n)

@@ -66,12 +66,13 @@ func TestNilSpanSafety(t *testing.T) {
 		t.Fatal("nil Spanner StartRemote returned a span")
 	}
 
-	var span *Span
+	var span *ActiveSpan
+	span.SetStart(time.Now())
 	span.SetAttr("k", "v")
 	span.SetError(errors.New("boom"))
 	span.Finish()
-	if span.ID() != "" {
-		t.Fatalf("nil span ID = %q", span.ID())
+	if span.ID() != "" || span.TraceID() != "" {
+		t.Fatalf("nil span ID = %q, trace ID = %q", span.ID(), span.TraceID())
 	}
 
 	// StartSpan with no active span is also a no-op chain.
@@ -88,17 +89,17 @@ func TestSpanLifecycleAndParenting(t *testing.T) {
 	if root == nil {
 		t.Fatal("StartRemote returned nil")
 	}
-	if root.TraceID != "req-1" || root.ParentID != "gw-span" || root.Service != "svc" {
-		t.Fatalf("root = %+v", root)
+	if root.TraceID() != "req-1" || root.rec.parentID != "gw-span" || root.rec.service != "svc" {
+		t.Fatalf("root = %+v", root.rec)
 	}
 
 	cctx, child := sp.Start(ctx, "work")
-	if child.ParentID != root.SpanID || child.TraceID != "req-1" {
-		t.Fatalf("child = %+v, want parent %s", child, root.SpanID)
+	if child.rec.parentID != root.ID() || child.TraceID() != "req-1" {
+		t.Fatalf("child = %+v, want parent %s", child.rec, root.ID())
 	}
 	_, grand := StartSpan(cctx, "deep")
-	if grand == nil || grand.ParentID != child.SpanID || grand.Service != "svc" {
-		t.Fatalf("grandchild = %+v, want parent %s", grand, child.SpanID)
+	if grand == nil || grand.rec.parentID != child.ID() || grand.rec.service != "svc" {
+		t.Fatalf("grandchild = %+v, want parent %s", grand, child.ID())
 	}
 
 	grand.SetAttr("k", "v")
@@ -128,8 +129,8 @@ func TestSpanLifecycleAndParenting(t *testing.T) {
 	if ev.Name != "cache-lookup" || ev.Attrs["outcome"] != "hit" || !ev.Start.Equal(ev.End) {
 		t.Fatalf("event span = %+v", ev)
 	}
-	if ev.ParentID != root.SpanID {
-		t.Fatalf("event parent %s, want the active span %s", ev.ParentID, root.SpanID)
+	if ev.ParentID != root.ID() {
+		t.Fatalf("event parent %s, want the active span %s", ev.ParentID, root.ID())
 	}
 }
 
@@ -146,8 +147,8 @@ func TestDetachCarriesIdentityAcrossContexts(t *testing.T) {
 	if s == nil {
 		t.Fatal("Start on detached ctx returned nil")
 	}
-	if s.TraceID != "req-d" || s.ParentID != root.SpanID {
-		t.Fatalf("detached span = %+v, want trace req-d parent %s", s, root.SpanID)
+	if s.TraceID() != "req-d" || s.rec.parentID != root.ID() {
+		t.Fatalf("detached span = %+v, want trace req-d parent %s", s.rec, root.ID())
 	}
 
 	// Detaching from an already-detached context keeps the identity.

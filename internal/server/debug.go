@@ -33,7 +33,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	rid := j.rid
 	var tl *obs.Timeline
 	if j.ent != nil {
-		tl = j.ent.res.Timeline
+		tl = j.ent.tl
 	}
 	j.mu.Unlock()
 	spans := s.spans.Dump(rid).Spans

@@ -65,16 +65,18 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	return c
 }
 
-// cacheEntry is one completed simulation in the result cache. It is
-// immutable once made: finished job records point at it, and outlive
-// its eviction.
+// cacheEntry is one completed simulation in the result cache: the
+// result's JSON and the two facts the daemon reads from it, not the
+// decoded result. It is immutable once made: finished job records point
+// at it, and outlive its eviction.
 type cacheEntry struct {
-	res tcsim.Result
-	// json is res's compact JSON encoding, made once when the result
-	// enters the cache; every response carrying the result writes these
-	// bytes.
+	// json is the result's compact JSON encoding, made once when the
+	// result enters the cache; every response carrying the result writes
+	// these bytes.
 	json json.RawMessage
-	at   time.Time // insertion time, for the cache-age histogram
+	ipc  float64       // for the "job completed" log line
+	tl   *obs.Timeline // the run's cycle timeline for /debug/trace; nil unless the job asked for one
+	at   time.Time     // insertion time, for the cache-age histogram
 }
 
 // Engine runs simulations behind a canonical-config-hash result cache
@@ -215,9 +217,7 @@ func (e *Engine) Run(ctx context.Context, r resolved) (*cacheEntry, bool, error)
 	case memo.Joined:
 		// The wait is over; its span starts when the wait began.
 		_, wsp := e.spans.Start(ctx, "singleflight-wait")
-		if wsp != nil {
-			wsp.Start = wait0
-		}
+		wsp.SetStart(wait0)
 		wsp.SetAttr("key", shortKey(key))
 		if err != nil && err == ctx.Err() {
 			wsp.SetError(err) // this caller's own context ended the wait
@@ -237,13 +237,14 @@ func isCancel(err error) bool {
 }
 
 // newCacheEntry encodes a completed result, once for every response that
-// will carry it. A result that cannot be encoded is the run's error.
+// will carry it, and keeps the encoding, the IPC and the timeline. A
+// result that cannot be encoded is the run's error.
 func newCacheEntry(res tcsim.Result) (*cacheEntry, error) {
 	raw, err := json.Marshal(&res)
 	if err != nil {
 		return nil, fmt.Errorf("server: encode result: %w", err)
 	}
-	return &cacheEntry{res: res, json: raw, at: time.Now()}, nil
+	return &cacheEntry{json: raw, ipc: res.IPC, tl: res.Timeline, at: time.Now()}, nil
 }
 
 // simulate waits for a worker slot (a visible queue-wait span), then

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -151,7 +150,7 @@ func TestEngineCacheAndDedup(t *testing.T) {
 
 	const N = 8
 	var wg sync.WaitGroup
-	results := make([]tcsim.Result, N)
+	results := make([]*cacheEntry, N)
 	for i := 0; i < N; i++ {
 		i := i
 		wg.Add(1)
@@ -162,7 +161,7 @@ func TestEngineCacheAndDedup(t *testing.T) {
 				t.Errorf("Run: %v", err)
 				return
 			}
-			results[i] = ent.res
+			results[i] = ent
 		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let the joiners pile onto the flight
@@ -173,8 +172,8 @@ func TestEngineCacheAndDedup(t *testing.T) {
 		t.Errorf("%d identical concurrent requests started %d simulations, want 1", N, got)
 	}
 	for i := 1; i < N; i++ {
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Errorf("result %d differs across deduplicated callers", i)
+		if results[i] != results[0] {
+			t.Errorf("caller %d got its own cache entry, not the deduplicated run's", i)
 		}
 	}
 	// A repeat after completion is a cache hit, still one simulation.

@@ -67,7 +67,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		ctx := context.WithValue(r.Context(), reqIDKey, id)
-		var sp *obs.Span
+		var sp *obs.ActiveSpan
 		if strings.HasPrefix(r.URL.Path, "/v1/") {
 			parent := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
 			ctx, sp = s.spans.StartRemote(ctx, id, parent, r.Method+" "+r.URL.Path)

@@ -351,7 +351,7 @@ func (s *Server) runJob(ctx context.Context, rid string, j *job, rj resolved) er
 	s.engine.met.completed.Add(1)
 	s.log.Info("job completed", "trace_id", rid, "request_id", rid, "span_id", sid,
 		"job_id", j.id, "key", j.key,
-		"cached", cached, "wall", wall.Round(time.Microsecond), "ipc", ent.res.IPC)
+		"cached", cached, "wall", wall.Round(time.Microsecond), "ipc", ent.ipc)
 	return nil
 }
 

@@ -285,6 +285,72 @@ func TestDebugTraceMergedOutput(t *testing.T) {
 	}
 }
 
+// TestDebugTraceMergesTimeline: a timeline=true job's GET /debug/trace
+// merges its cycle timeline (pid 1) under its spans (pid 2), event for
+// event what the timeline in the job's result renders to. The cache
+// entry keeps the timeline for this, beside the result's JSON.
+func TestDebugTraceMergesTimeline(t *testing.T) {
+	srv, cl := newTestServer(t, Config{})
+	rid := "timeline-trace-rid"
+	ctx := client.WithRequestID(context.Background(), rid)
+	job, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "m88ksim", Insts: testInsts, Timeline: true})
+	if err != nil {
+		t.Fatalf("SubmitJob: %v", err)
+	}
+	if job.Result.Timeline == nil || len(job.Result.Timeline.Events) == 0 {
+		t.Fatal("timeline=true job returned no timeline events")
+	}
+	waitSpans(t, srv, rid, "POST /v1/jobs")
+
+	type chromeFile struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		Meta        json.RawMessage   `json:"otherData"`
+	}
+	byPid := func(f chromeFile) map[int][]string {
+		out := map[int][]string{}
+		for _, raw := range f.TraceEvents {
+			var e struct {
+				Pid int `json:"pid"`
+			}
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatal(err)
+			}
+			out[e.Pid] = append(out[e.Pid], string(raw))
+		}
+		return out
+	}
+	resp, err := http.Get(cl.Base() + "/debug/trace/" + job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/trace/%s = %d", job.ID, resp.StatusCode)
+	}
+	var got chromeFile
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("merged trace is not valid JSON: %v", err)
+	}
+	var sb strings.Builder
+	if err := obs.WriteMergedChromeTrace(&sb, nil, job.Result.Timeline); err != nil {
+		t.Fatal(err)
+	}
+	var want chromeFile
+	if err := json.Unmarshal([]byte(sb.String()), &want); err != nil {
+		t.Fatal(err)
+	}
+	gotPids, wantPids := byPid(got), byPid(want)
+	if len(gotPids[2]) == 0 {
+		t.Error("merged trace has no service spans (pid 2)")
+	}
+	if g, w := gotPids[1], wantPids[1]; len(g) != len(w) || strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Errorf("merged trace has %d cycle events (pid 1), want the job timeline's %d", len(g), len(w))
+	}
+	if string(got.Meta) != string(want.Meta) {
+		t.Errorf("merged trace metadata %s, want the timeline's %s", got.Meta, want.Meta)
+	}
+}
+
 // doneSignal is a request context that signals on waiting when its Done
 // channel is first asked for. A job request asks for it only to wait:
 // on another request's simulation of its key, or for a worker slot.
