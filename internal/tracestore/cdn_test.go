@@ -83,8 +83,11 @@ func TestCDNFetchRoundTrip(t *testing.T) {
 	if got.Trace.Len() != ent.Trace.Len() {
 		t.Fatalf("fetched trace length %d, origin %d", got.Trace.Len(), ent.Trace.Len())
 	}
+	origRep, gotRep := ent.Trace.NewReplay(), got.Trace.NewReplay()
 	for i := uint64(0); i < ent.Trace.Len(); i++ {
-		if !reflect.DeepEqual(ent.Trace.record(i), got.Trace.record(i)) {
+		want, _ := origRep.At(i)
+		rec, _ := gotRep.At(i)
+		if !reflect.DeepEqual(want, rec) {
 			t.Fatalf("record %d differs after CDN round trip", i)
 		}
 	}

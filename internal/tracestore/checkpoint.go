@@ -11,10 +11,11 @@ import (
 
 // FullCaptureLimit is the largest budget for which sampled runs still
 // capture (or load) the full columnar trace. Above it a full trace
-// (~17 bytes/inst plus slack) would not fit the store's default memory
-// bound, so sampled runs fall back to either live functional warming
-// (warm mode) or a checkpoint-only log (seek mode). A var, not a
-// const, so tests can exercise the big-budget paths cheaply.
+// (~10 bytes/inst plus slack, ~42 MB at the limit) would crowd the
+// store's default memory bound, so sampled runs fall back to either
+// live functional warming (warm mode) or a checkpoint-only log (seek
+// mode). A var, not a const, so tests can exercise the big-budget
+// paths cheaply.
 var FullCaptureLimit uint64 = 4 << 20
 
 // CheckpointInterval is the capture-time snapshot spacing for a given

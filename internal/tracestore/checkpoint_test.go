@@ -106,6 +106,7 @@ func TestCkptSourceMatchesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewCkptSource(prog, log, 4096)
+	rep := full.NewReplay()
 	for _, target := range []uint64{100, 60_000, 61_000, 150_000, 199_000} {
 		src.Seek(target)
 		for seq := target; seq < target+500; seq++ {
@@ -113,7 +114,7 @@ func TestCkptSourceMatchesReplay(t *testing.T) {
 			if !ok {
 				t.Fatalf("ckpt source ended at %d", seq)
 			}
-			want := full.record(seq)
+			want, _ := rep.At(seq)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seek %d: record %d differs:\n  ckpt %+v\n  full %+v", target, seq, got, want)
 			}

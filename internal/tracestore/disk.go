@@ -168,16 +168,17 @@ func encodeTrace(t *Trace, prog *asm.Program) []byte {
 		e.uvarint(uint64(t.staticWord[i]))
 	}
 
-	// Record columns. next is stored as a delta against the record's
-	// fall-through (pc+4): zero for straight-line code, tiny for most
-	// branches.
+	// Record columns, with the next PC and the address that the trace
+	// derives written out. next is stored as a delta against the
+	// record's fall-through (pc+4): zero for straight-line code, tiny
+	// for most branches.
 	e.uvarint(uint64(len(t.si)))
 	for i := range t.si {
 		e.uvarint(uint64(t.si[i]))
 		fall := int64(t.staticPC[t.si[i]]) + isa.InstBytes
-		e.varint(int64(t.next[i]) - fall)
+		e.varint(int64(t.nextPCAt(uint64(i))) - fall)
 		e.buf = append(e.buf, t.flags[i])
-		e.uvarint(uint64(t.ea[i]))
+		e.uvarint(uint64(t.addr(uint64(i))))
 		e.uvarint(uint64(t.val[i]))
 	}
 
@@ -342,11 +343,17 @@ func decodeTrace(raw []byte, name string, budget uint64, prog *asm.Program) (*Tr
 	if nRec > uint64(len(d.buf)) { // each record is >= 5 bytes
 		return nil, ErrTruncated
 	}
+	// The file spells out every record's next PC and address, but the
+	// trace keeps only what the stream cannot imply, so a file that
+	// contradicts the stream is malformed: a next PC that is not the
+	// following record's PC, an address on a record that is no load or
+	// store, or load/store flags that disagree with the opcode (the
+	// address rank index trusts them). lastNext holds the previous
+	// record's next PC until the last record's ends the loop.
 	t.si = make([]uint32, nRec)
-	t.next = make([]uint32, nRec)
-	t.ea = make([]uint32, nRec)
 	t.val = make([]uint32, nRec)
 	t.flags = make([]uint8, nRec)
+	t.ea = make([]uint32, 0, memCap(nRec))
 	for i := range t.si {
 		si, err := d.uvarint()
 		if err != nil {
@@ -354,6 +361,11 @@ func decodeTrace(raw []byte, name string, budget uint64, prog *asm.Program) (*Tr
 		}
 		if si >= nStatic {
 			return nil, fmt.Errorf("%w: static index %d out of range", ErrTruncated, si)
+		}
+		pc := t.staticPC[si]
+		if i > 0 && pc != t.lastNext {
+			return nil, fmt.Errorf("%w: record %d's next PC %#x is not record %d's PC %#x",
+				ErrTruncated, i-1, t.lastNext, i, pc)
 		}
 		dnext, err := d.varint()
 		if err != nil {
@@ -364,18 +376,27 @@ func decodeTrace(raw []byte, name string, budget uint64, prog *asm.Program) (*Tr
 		}
 		fl := d.buf[0]
 		d.buf = d.buf[1:]
+		if op := t.staticInst[si].Op; fl&flagMem != memFlags(op) {
+			return nil, fmt.Errorf("%w: record %d's load/store flags %#x disagree with its opcode %v",
+				ErrTruncated, i, fl&flagMem, op)
+		}
 		ea, err := d.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if fl&flagMem != 0 {
+			t.ea = append(t.ea, uint32(ea))
+		} else if ea != 0 {
+			return nil, fmt.Errorf("%w: record %d is no load or store but has address %#x",
+				ErrTruncated, i, ea)
 		}
 		val, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		t.si[i] = uint32(si)
-		t.next[i] = uint32(int64(t.staticPC[si]) + isa.InstBytes + dnext)
+		t.lastNext = uint32(int64(pc) + isa.InstBytes + dnext)
 		t.flags[i] = fl
-		t.ea[i] = uint32(ea)
 		t.val[i] = uint32(val)
 	}
 
@@ -411,6 +432,7 @@ func decodeTrace(raw []byte, name string, budget uint64, prog *asm.Program) (*Tr
 	if len(d.buf) != 0 {
 		return nil, ErrTruncated
 	}
+	t.seal()
 	return t, nil
 }
 

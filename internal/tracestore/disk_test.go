@@ -1,10 +1,15 @@
 package tracestore
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
+
+	"tcsim/internal/isa"
 )
 
 // TestDiskRoundTrip: a saved trace loads back with every column — and
@@ -30,9 +35,12 @@ func TestDiskRoundTrip(t *testing.T) {
 	if got.Len() != orig.Len() || got.Complete() != orig.Complete() {
 		t.Fatalf("shape mismatch: %d/%v vs %d/%v", got.Len(), got.Complete(), orig.Len(), orig.Complete())
 	}
+	origRep, gotRep := orig.NewReplay(), got.NewReplay()
 	for i := uint64(0); i < orig.Len(); i++ {
-		if !reflect.DeepEqual(orig.record(i), got.record(i)) {
-			t.Fatalf("record %d differs:\n  orig %+v\n  load %+v", i, orig.record(i), got.record(i))
+		want, _ := origRep.At(i)
+		rec, _ := gotRep.At(i)
+		if !reflect.DeepEqual(want, rec) {
+			t.Fatalf("record %d differs:\n  orig %+v\n  load %+v", i, want, rec)
 		}
 	}
 	if !reflect.DeepEqual(orig.outAt, got.outAt) || !reflect.DeepEqual(orig.out, got.out) {
@@ -98,6 +106,46 @@ func TestDiskRejectsFailClosed(t *testing.T) {
 	corrupt("truncated", nil, func(b []byte) []byte {
 		return b[:len(b)/3]
 	})
+
+	// A record's next PC and address are what the stream implies, and
+	// its load/store flags are what its opcode implies; a file that says
+	// otherwise is malformed, and each check names its contradiction.
+	mid := tr.Len() / 2
+	alu := mid
+	for tr.staticInst[tr.si[alu]].Op.IsMem() {
+		alu++
+	}
+	rec, _ := tr.NewReplay().At(mid)
+	for f, put := range map[int]func(*encoder){
+		fieldStatic: func(e *encoder) { e.uvarint(uint64(tr.si[mid])) },
+		fieldNext:   func(e *encoder) { e.varint(int64(rec.NextPC) - int64(rec.PC+isa.InstBytes)) },
+		fieldFlags:  func(e *encoder) { e.raw([]byte{tr.flags[mid]}) },
+		fieldAddr:   func(e *encoder) { e.uvarint(uint64(rec.EA)) },
+		fieldVal:    func(e *encoder) { e.uvarint(uint64(rec.Val)) },
+	} {
+		if !bytes.Equal(spliceRecord(t, pristine, mid, f, put), pristine) {
+			t.Fatalf("splicing record %d's field %d with its own value changed the file", mid, f)
+		}
+	}
+	implied := []struct {
+		name, says string
+		raw        []byte
+	}{
+		{"next-pc-not-following-pc", "next PC",
+			spliceRecord(t, pristine, mid, fieldNext, func(e *encoder) { e.varint(1 << 20) })},
+		{"address-on-non-memory-record", "no load or store",
+			spliceRecord(t, pristine, alu, fieldAddr, func(e *encoder) { e.uvarint(0x1000) })},
+		{"memory-flags-disagree-with-opcode", "disagree with its opcode",
+			spliceRecord(t, pristine, alu, fieldFlags, func(e *encoder) { e.raw([]byte{tr.flags[alu] | flagLoad}) })},
+	}
+	for _, c := range implied {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := decodeTrace(c.raw, "compress", 2000, prog)
+			if got != nil || !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), c.says) {
+				t.Fatalf("decode = (%v, %v), want ErrTruncated saying %q", got != nil, err, c.says)
+			}
+		})
+	}
 
 	t.Run("stale-program", func(t *testing.T) {
 		restore()
@@ -168,5 +216,59 @@ func TestStoreDiskFailClosedToLiveCapture(t *testing.T) {
 	}
 	if st := s3.Stats(); st.DiskLoads != 1 {
 		t.Fatalf("warm restart disk loads = %d, want 1", st.DiskLoads)
+	}
+}
+
+// The fields of one encoded record, in file order.
+const (
+	fieldStatic = iota // uvarint static index
+	fieldNext          // varint next PC, as a delta against pc+4
+	fieldFlags         // one flag byte
+	fieldAddr          // uvarint effective address
+	fieldVal           // uvarint value
+)
+
+// spliceRecord returns a copy of the encoded trace raw in which field f
+// of record k holds what put encodes, with the CRC re-sealed, so the
+// contradiction reaches the record decoder.
+func spliceRecord(t testing.TB, raw []byte, k uint64, f int, put func(*encoder)) []byte {
+	t.Helper()
+	body := raw[:len(raw)-4]
+	d := decoder{buf: body[len(diskMagic)+4:]}
+	skip := func(read func() error) {
+		t.Helper()
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	uvarint := func() error { _, err := d.uvarint(); return err }
+	varint := func() error { _, err := d.varint(); return err }
+	byte1 := func() error { _, err := d.boolv(); return err }
+	skip(func() error { _, err := d.bytes(); return err }) // name
+	skip(uvarint)                                          // budget
+	d.buf = d.buf[32:]                                     // program hash
+	skip(byte1)                                            // halted
+	nStatic, err := d.uvarint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < nStatic; i++ {
+		skip(varint)
+		skip(uvarint)
+	}
+	skip(uvarint) // record count
+	fields := []func() error{uvarint, varint, byte1, uvarint, uvarint}
+	for i := uint64(0); ; i++ {
+		for j, read := range fields {
+			start := len(body) - len(d.buf)
+			skip(read)
+			if i == k && j == f {
+				e := encoder{buf: append([]byte(nil), body[:start]...)}
+				put(&e)
+				e.raw(d.buf)
+				e.u32le(crc32.ChecksumIEEE(e.buf))
+				return e.buf
+			}
+		}
 	}
 }

@@ -38,7 +38,8 @@ loop:
 // small program and a one-checkpoint log of m88ksim, which carries a
 // dirtied page; both are small, so the fuzzer minimizes quickly.
 // testdata/fuzz/FuzzDecodeTrace keeps an input for each reject reason a
-// fuzzing run reached.
+// fuzzing run reached, and one for each record field that contradicts
+// what the stream implies (next PC, address, load/store flags).
 func FuzzDecodeTrace(f *testing.F) {
 	progs := map[string]*asm.Program{}
 	seed := func(tr *Trace, err error, prog *asm.Program) {

@@ -17,7 +17,7 @@ import (
 
 // DefaultMaxBytes bounds the shared store's resident trace bytes. All
 // fifteen bundled workloads at the default 300k-instruction budget fit
-// comfortably (~100 MiB); the LRU evicts least-recently-replayed traces
+// comfortably (~42 MiB); the LRU evicts least-recently-replayed traces
 // beyond the cap.
 const DefaultMaxBytes = 256 << 20
 

@@ -6,18 +6,22 @@
 // on the program and the retirement budget — never on the machine
 // configuration — so re-running the functional emulator for every config
 // variant of a sweep is pure redundancy. A captured Trace is an
-// immutable, compact, columnar (struct-of-arrays) record store:
-// per-static-instruction fields (the PC and decoded instruction) are
-// interned into a side table and each dynamic record carries a 4-byte
-// index into it, the dynamic sequence number is implicit in the record's
-// position, and the remaining per-record fields are packed flat arrays.
+// immutable, compact, columnar (struct-of-arrays) record store that
+// keeps only what the stream cannot imply. Per-static-instruction
+// fields (the PC and decoded instruction) are interned into a side
+// table and each dynamic record carries a 4-byte index into it; the
+// dynamic sequence number is the record's position; a record's next PC
+// is the following record's PC; and only loads and stores keep an
+// effective address. The value and flag bits are packed flat arrays.
 // Replay reconstructs emu.Record values on the fly with zero
 // allocations and is bit-for-bit indistinguishable from live emulation.
 package tracestore
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
+	"unsafe"
 
 	"tcsim/internal/asm"
 	"tcsim/internal/emu"
@@ -39,7 +43,21 @@ const (
 	flagTaken = 1 << iota
 	flagLoad
 	flagStore
+
+	flagMem = flagLoad | flagStore
 )
+
+// memFlags returns the flag bits a record of op carries for its memory
+// access: flagLoad for a load, flagStore for a store, 0 otherwise.
+func memFlags(op isa.Op) uint8 {
+	switch {
+	case op.IsLoad():
+		return flagLoad
+	case op.IsStore():
+		return flagStore
+	}
+	return 0
+}
 
 // Trace is one captured correct-path stream: an immutable columnar
 // record store plus the program OUT bytes needed to reconstruct
@@ -56,12 +74,24 @@ type Trace struct {
 	staticWord []uint32
 	staticInst []isa.Inst
 
-	// Per-record columns; the record's Seq is its index.
+	// Per-record columns; the record's Seq is its index, and its next
+	// PC is the following record's PC.
 	si    []uint32 // index into the static table
-	next  []uint32 // architecturally next PC
-	ea    []uint32 // effective address (memory ops; else 0)
 	val   []uint32 // destination/store value (else 0)
 	flags []uint8
+
+	// Effective addresses of the loads and stores only, in stream
+	// order, and the rank index that finds a record's: memBase[b]
+	// counts the memory records before block b (records 64b..64b+63),
+	// and bit j of memMask[b] marks record 64b+j as one.
+	ea      []uint32
+	memBase []uint32
+	memMask []uint64
+
+	// lastNext is the last record's next PC, which no following record
+	// holds: the PC after a HALT, the PC of the instruction that
+	// faulted, or the first PC past a capture cut at budget+slack.
+	lastNext uint32
 
 	// OUT reconstruction: out[i] was emitted by record outAt[i]
 	// (ascending).
@@ -130,10 +160,9 @@ func capture(name string, prog *asm.Program, budget uint64, records bool) (*Trac
 	var intern map[staticKey]uint32
 	if records {
 		t.si = make([]uint32, 0, limit)
-		t.next = make([]uint32, 0, limit)
-		t.ea = make([]uint32, 0, limit)
 		t.val = make([]uint32, 0, limit)
 		t.flags = make([]uint8, 0, limit)
+		t.ea = make([]uint32, 0, memCap(limit))
 		intern = make(map[staticKey]uint32)
 	}
 
@@ -179,10 +208,11 @@ func capture(name string, prog *asm.Program, budget uint64, records bool) (*Trac
 				fl |= flagStore
 			}
 			t.si = append(t.si, idx)
-			t.next = append(t.next, rec.NextPC)
-			t.ea = append(t.ea, rec.EA)
 			t.val = append(t.val, rec.Val)
 			t.flags = append(t.flags, fl)
+			if fl&flagMem != 0 {
+				t.ea = append(t.ea, rec.EA)
+			}
 		}
 		if rec.Inst.Op == isa.OUT {
 			t.outAt = append(t.outAt, rec.Seq)
@@ -198,12 +228,65 @@ func capture(name string, prog *asm.Program, budget uint64, records bool) (*Trac
 			nextCkpt += interval
 		}
 	}
-	t.out = append([]byte(nil), m.Output...)
+	t.out = m.Output // the machine goes with this call; seal trims it
 	if len(t.outAt) != len(t.out) {
 		return nil, fmt.Errorf("tracestore: capture of %q desynced OUT stream (%d records, %d bytes)",
 			name, len(t.outAt), len(t.out))
 	}
+	// Whether the stream halted, faulted or was cut, the machine's PC is
+	// where the last record went next.
+	t.lastNext = m.PC
+	t.seal()
 	return t, nil
+}
+
+// seal ends a capture or a decode: it trims every column to its exact
+// length, so Bytes counts what the trace holds, and builds the address
+// rank index from the flags.
+func (t *Trace) seal() {
+	t.staticPC = exact(t.staticPC)
+	t.staticWord = exact(t.staticWord)
+	t.staticInst = exact(t.staticInst)
+	t.si = exact(t.si)
+	t.val = exact(t.val)
+	t.flags = exact(t.flags)
+	t.ea = exact(t.ea)
+	t.outAt = exact(t.outAt)
+	t.out = exact(t.out)
+	t.ckptSeq = exact(t.ckptSeq)
+	t.ckptPC = exact(t.ckptPC)
+	t.ckptOutLen = exact(t.ckptOutLen)
+	t.ckptRegs = exact(t.ckptRegs)
+	t.ckptPageIdx = exact(t.ckptPageIdx)
+	t.ckptPN = exact(t.ckptPN)
+	t.ckptPages = exact(t.ckptPages)
+
+	blocks := (len(t.flags) + 63) / 64
+	t.memBase = make([]uint32, blocks)
+	t.memMask = make([]uint64, blocks)
+	var mem uint32
+	for i, fl := range t.flags {
+		if i%64 == 0 {
+			t.memBase[i/64] = mem
+		}
+		if fl&flagMem != 0 {
+			t.memMask[i/64] |= 1 << (i % 64)
+			mem++
+		}
+	}
+}
+
+// memCap sizes the address column of a stream of n records before its
+// loads and stores are counted: a quarter, above the 0-20% share of the
+// bundled workloads, so the column rarely grows before seal trims it.
+func memCap(n uint64) uint64 { return n / 4 }
+
+// exact returns s in an allocation of exactly len(s) elements.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Name returns the workload name the trace was captured for.
@@ -219,33 +302,56 @@ func (t *Trace) Len() uint64 { return uint64(len(t.si)) }
 // (HALT or an execution fault) rather than a capture truncation.
 func (t *Trace) Complete() bool { return t.halted || t.stepErr != nil }
 
-// Bytes estimates the trace's resident size, for the store's LRU
-// accounting.
+// Bytes reports the trace's resident size, for the store's LRU
+// accounting: the bytes of its columns, each exactly its length.
 func (t *Trace) Bytes() int64 {
-	const instSize = 16 // isa.Inst: Op+3 regs padded + int32
+	const instSize = int64(unsafe.Sizeof(isa.Inst{}))
 	return int64(len(t.staticPC))*(4+4+instSize) +
-		int64(len(t.si))*(4+4+4+4+1) +
+		int64(len(t.si))*(4+4+1) + int64(len(t.ea))*4 +
+		int64(len(t.memBase))*(4+8) +
 		int64(len(t.outAt))*8 + int64(len(t.out)) +
 		int64(len(t.ckptSeq))*(8+4+8+4) + int64(len(t.ckptRegs))*4 +
 		int64(len(t.ckptPN))*4 + int64(len(t.ckptPages))
 }
 
-// record reconstructs the emu.Record at index i. Pure value
-// construction: no allocation.
-func (t *Trace) record(i uint64) emu.Record {
+// record reconstructs the emu.Record at index i from its columns and
+// the two fields the stream implies, which the caller derives with
+// nextPCAt and addr. Pure value construction: no allocation, and cheap
+// enough to inline into At.
+func (t *Trace) record(i uint64, next, ea uint32) emu.Record {
 	s := t.si[i]
 	fl := t.flags[i]
 	return emu.Record{
 		Seq:    i,
 		PC:     t.staticPC[s],
 		Inst:   t.staticInst[s],
-		NextPC: t.next[i],
+		NextPC: next,
 		Taken:  fl&flagTaken != 0,
-		EA:     t.ea[i],
+		EA:     ea,
 		Store:  fl&flagStore != 0,
 		Load:   fl&flagLoad != 0,
 		Val:    t.val[i],
 	}
+}
+
+// nextPCAt returns record i's next PC: the following record's PC, or
+// lastNext for the last record.
+func (t *Trace) nextPCAt(i uint64) uint32 {
+	if i+1 < uint64(len(t.si)) {
+		return t.staticPC[t.si[i+1]]
+	}
+	return t.lastNext
+}
+
+// addr returns record i's effective address: 0 unless it is a load or
+// a store, whose rank among the memory records indexes ea.
+func (t *Trace) addr(i uint64) uint32 {
+	b, bit := i/64, uint64(1)<<(i%64)
+	m := t.memMask[b]
+	if m&bit == 0 {
+		return 0
+	}
+	return t.ea[t.memBase[b]+uint32(bits.OnesCount64(m&(bit-1)))]
 }
 
 // NewReplay returns a fresh replay cursor over the trace. Each simulator
@@ -291,7 +397,7 @@ func (r *Replay) At(seq uint64) (emu.Record, bool) {
 	if seq+1 > r.hw {
 		r.hw = seq + 1
 	}
-	return t.record(seq), true
+	return t.record(seq, t.nextPCAt(seq), t.addr(seq)), true
 }
 
 // Release discards records with Seq < upTo.
