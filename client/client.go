@@ -3,8 +3,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,60 +14,49 @@ import (
 	"tcsim/internal/obs"
 )
 
-// reqIDHeader correlates each exchange with the daemon's log lines.
-const reqIDHeader = "X-Request-ID"
-
-// traceParentHeader carries span context to the daemon: the request ID
-// (the trace) and the caller's span ID the daemon's spans should parent
-// under, as "<trace-id>:<span-id>".
-const traceParentHeader = "X-Trace-Parent"
-
-type ctxKey int
-
-const (
-	reqIDKey ctxKey = iota
-	spanParentKey
+// Context keys of the IDs a caller pins.
+type (
+	requestIDKey  struct{}
+	spanParentKey struct{}
 )
 
 // WithRequestID returns a context that makes every client call carry id
 // as its X-Request-ID, correlating the exchange with the daemon's
-// structured log. Without it the client generates a fresh random ID per
-// request. The ID the exchange actually used is surfaced on APIError
-// when a call fails.
+// structured log. Without it a call sends the trace ID of the context's
+// active span (obs.SpanFrom), and with neither a fresh random ID. The
+// ID the exchange actually used is surfaced on APIError when a call
+// fails.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, reqIDKey, id)
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // WithSpanParent returns a context that makes every client call carry
 // an X-Trace-Parent header naming spanID as the caller's span, so the
-// daemon's spans nest under it in a collated trace. The trace half of
-// the header is the request ID, so this composes with WithRequestID.
-// An empty spanID returns ctx unchanged.
+// daemon's spans nest under it in a collated trace. Without it a call
+// names the context's active span, if any. The trace half of the header
+// is the request ID, so this composes with WithRequestID. An empty
+// spanID returns ctx unchanged.
 func WithSpanParent(ctx context.Context, spanID string) context.Context {
 	if spanID == "" {
 		return ctx
 	}
-	return context.WithValue(ctx, spanParentKey, spanID)
+	return context.WithValue(ctx, spanParentKey{}, spanID)
 }
 
-// spanParentFrom returns the caller-pinned parent span ID, if any.
-func spanParentFrom(ctx context.Context) string {
-	id, _ := ctx.Value(spanParentKey).(string)
-	return id
-}
-
-// requestIDFrom returns the caller-pinned request ID, or a fresh random
-// one.
-func requestIDFrom(ctx context.Context) string {
-	if id, ok := ctx.Value(reqIDKey).(string); ok && id != "" {
-		return id
+// traceIDs returns the request ID and the parent span ID ("" for none)
+// a call under ctx sends: the pinned ones first, else the context's
+// active span, else a fresh request ID and no parent.
+func traceIDs(ctx context.Context) (rid, parent string) {
+	sp := obs.SpanFrom(ctx)
+	if rid, _ = ctx.Value(requestIDKey{}).(string); rid == "" {
+		if rid = sp.TraceID(); rid == "" {
+			rid = obs.NewSpanID()
+		}
 	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// No entropy: send none and let the daemon assign one.
-		return ""
+	if parent, _ = ctx.Value(spanParentKey{}).(string); parent == "" {
+		parent = sp.ID()
 	}
-	return hex.EncodeToString(b[:])
+	return rid, parent
 }
 
 // Client talks to a tcserved daemon — or to a tcgate cluster gateway,
@@ -267,11 +254,10 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if id := requestIDFrom(ctx); id != "" {
-		req.Header.Set(reqIDHeader, id)
-		if sid := spanParentFrom(ctx); sid != "" {
-			req.Header.Set(traceParentHeader, id+":"+sid)
-		}
+	rid, parent := traceIDs(ctx)
+	req.Header.Set(obs.RequestIDHeader, rid)
+	if parent != "" {
+		req.Header.Set(obs.TraceParentHeader, obs.TraceParent(rid, parent))
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -281,7 +267,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 
 	if resp.StatusCode/100 != 2 {
 		// Prefer the daemon's echoed ID (it may have replaced ours).
-		rid := resp.Header.Get(reqIDHeader)
+		rid := resp.Header.Get(obs.RequestIDHeader)
 		var eb ErrorBody
 		if derr := json.NewDecoder(resp.Body).Decode(&eb); derr != nil || eb.Error.Code == "" {
 			return &APIError{Status: resp.StatusCode, RequestID: rid, Code: "http_error",

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"tcsim/internal/obs"
 )
 
 // ridServer records the X-Request-ID of each incoming request and
@@ -62,6 +64,46 @@ func TestRequestIDGenerated(t *testing.T) {
 	}
 	if (*seen)[0] == (*seen)[1] {
 		t.Errorf("auto-generated IDs repeated: %q", (*seen)[0])
+	}
+}
+
+// TestActiveSpanPropagates: a call under a context holding an active
+// span sends its trace ID as the request ID and names it as the parent;
+// WithRequestID and WithSpanParent each override their half.
+func TestActiveSpanPropagates(t *testing.T) {
+	type sent struct{ rid, parent string }
+	var seen []sent
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = append(seen, sent{r.Header.Get(obs.RequestIDHeader), r.Header.Get(obs.TraceParentHeader)})
+	}))
+	t.Cleanup(srv.Close)
+	cl := New(srv.URL)
+	spans := obs.NewSpanner("caller", obs.NewSpanRing(0))
+	ctx, sp := spans.StartRemote(context.Background(), "trace-abc", "", "call")
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want sent
+	}{
+		{"active span", ctx, sent{"trace-abc", "trace-abc:" + sp.ID()}},
+		{"pinned request ID", WithRequestID(ctx, "pinned-rid"), sent{"pinned-rid", "pinned-rid:" + sp.ID()}},
+		{"pinned parent", WithSpanParent(ctx, "pinned-parent"), sent{"trace-abc", "trace-abc:pinned-parent"}},
+		{"both pinned", WithSpanParent(WithRequestID(ctx, "pinned-rid"), "pinned-parent"), sent{"pinned-rid", "pinned-rid:pinned-parent"}},
+	} {
+		seen = nil
+		if err := cl.Health(c.ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 1 || seen[0] != c.want {
+			t.Errorf("%s: server saw %+v, want %+v", c.name, seen, c.want)
+		}
+	}
+	seen = nil
+	if err := cl.Health(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0].rid == "" || seen[0].parent != "" {
+		t.Errorf("no span: server saw %+v, want a fresh request ID and no parent", seen)
 	}
 }
 

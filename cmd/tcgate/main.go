@@ -27,12 +27,23 @@
 //	GET /metrics       gateway counters and node routability (tcgate_node_up{node=...})
 //	GET /debug/spans   the gateway's own recent spans (?trace= filters)
 //
-// The gateway is where a distributed trace is born: it pins the
-// X-Request-ID (minting one when the caller did not), opens a root span
-// per request plus one child span per backend attempt — so failover
-// walks and Retry-After backoffs are visible retries — and forwards the
-// span context via X-Trace-Parent. SIGQUIT dumps the span ring to
-// -flight-dir without stopping the gateway.
+// The gateway answers GET /healthz, GET /healthz/ready (503 while it
+// drains or while no node is routable), GET /v1/passes and
+// GET /v1/policies itself, from the same code and registries as a node,
+// so the registries answer with every node down. Only jobs and trace
+// exports go to a node, and a caller that gives up while its node works
+// demotes no node.
+//
+// The gateway is where a distributed trace is born. Its front door,
+// tcserved's own (internal/server), adopts or mints the X-Request-ID,
+// echoes it on every response, writes one access line per request and
+// opens a root span per /v1/ request; each backend attempt is a child
+// span (so failover walks and Retry-After backoffs are visible retries)
+// that the client forwards via X-Trace-Parent. The signal handling is
+// tcserved's too (server.Serve): SIGQUIT dumps the span ring to
+// -flight-dir without stopping the gateway, and SIGTERM or SIGINT flips
+// readiness, lets proxied requests finish within -drain, stops the
+// probes, logs "drained" and exits 0.
 package main
 
 import (
@@ -41,16 +52,15 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"tcsim/internal/cluster"
 	"tcsim/internal/obs"
+	"tcsim/internal/server"
 )
 
 func main() {
@@ -104,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	g.Start()
 
-	httpSrv := &http.Server{Handler: g.Handler()}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		logger.Error("listen failed", "addr", *listen, "error", err.Error())
@@ -115,50 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger.Info("listening", "url", "http://"+ln.Addr().String(), "nodes", len(nodes))
 	fmt.Fprintf(stdout, "tcgate: listening on http://%s (%d nodes)\n", ln.Addr(), len(nodes))
-
-	// SIGQUIT dumps the span ring without stopping the gateway.
-	quitCh := make(chan os.Signal, 1)
-	signal.Notify(quitCh, syscall.SIGQUIT)
-	defer signal.Stop(quitCh)
-	go func() {
-		for range quitCh {
-			if path, err := g.Spanner().WriteDump(*flightDir, strconv.FormatInt(time.Now().UnixNano(), 10)); err != nil {
-				logger.Error("flight dump failed", "error", err.Error())
-			} else {
-				logger.Info("flight dump written", "path", path, "trigger", "SIGQUIT")
-			}
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "error", err.Error())
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behavior: a second signal kills us
-
-	// Readiness flips first so upstream LBs stop routing, then in-flight
-	// proxied requests drain.
-	g.BeginDrain()
-	logger.Info("draining", "deadline", *drainWait)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		logger.Error("http shutdown", "error", err.Error())
-	}
-	if err := g.Shutdown(drainCtx); err != nil {
-		logger.Error("drain failed", "error", err.Error())
-		return 1
-	}
-	logger.Info("drained")
-	return 0
+	context.AfterFunc(stop, cancel) // restore default signal behavior: a second signal kills us
+	return server.Serve(stop, ln, g.Handler(), g, *drainWait, *flightDir, logger)
 }
 
 // parseNodes turns the -nodes flag into the backend list. Entries are

@@ -23,8 +23,15 @@
 //	GET  /debug/trace/{id}   merged Chrome trace for a job: spans over cycles
 //
 // Requests carrying X-Trace-Parent (the gateway sets it) contribute
-// their spans to the distributed trace named by the request ID; SIGQUIT
+// their spans to the distributed trace named by the request ID.
+//
+// The front door, the health and registry routes and the signal handling
+// (internal/server's Shell and Serve) are the ones tcgate runs. SIGQUIT
 // dumps the span ring to -flight-dir without stopping the daemon.
+// SIGTERM or SIGINT flips readiness to 503 while the listener still
+// answers, then stops accepting, finishes requests in flight and
+// admitted jobs within -drain, logs "drained" and exits 0; a second
+// signal kills the process.
 //
 // In a cluster (see cmd/tcgate), -cdn points the node at the gateway's
 // trace CDN: a capture miss first asks the cluster for the workload's
@@ -40,12 +47,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -117,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	scfg := server.Config{
+	srv := server.New(server.Config{
 		Engine: server.EngineConfig{
 			Workers:      *workers,
 			Queue:        *queue,
@@ -131,9 +136,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		JobTTL:    *jobTTL,
 		Logger:    logger,
 		FlightDir: *flightDir,
+	})
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	if *pprofOn {
+		prof.AttachPprof(mux)
 	}
-
-	code := serve(stdout, stderr, logger, scfg, *addr, *drainWait, *pprofOn, *flightDir)
+	code := 1
+	if ln, err := net.Listen("tcp", *addr); err != nil {
+		logger.Error("listen failed", "addr", *addr, "error", err.Error())
+	} else {
+		logger.Info("listening", "url", "http://"+ln.Addr().String(), "pprof", *pprofOn)
+		fmt.Fprintf(stdout, "tcserved: listening on http://%s\n", ln.Addr())
+		stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer cancel()
+		context.AfterFunc(stop, cancel) // restore default signal behavior: a second signal kills us
+		code = server.Serve(stop, ln, mux, srv, *drainWait, *flightDir, logger)
+	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(stderr, "tcserved: %v\n", err)
 		if code == 0 {
@@ -141,72 +160,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return code
-}
-
-// serve runs the daemon until SIGTERM/SIGINT, then drains gracefully:
-// the listener stops accepting, in-flight requests and admitted async
-// jobs finish (up to the drain deadline), then the process exits.
-func serve(stdout, stderr io.Writer, logger *slog.Logger, scfg server.Config, addr string, drainWait time.Duration, pprofOn bool, flightDir string) int {
-	srv := server.New(scfg)
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	if pprofOn {
-		prof.AttachPprof(mux)
-	}
-	httpSrv := &http.Server{Handler: mux}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", addr, "error", err.Error())
-		return 1
-	}
-	logger.Info("listening", "url", "http://"+ln.Addr().String(), "pprof", pprofOn)
-	fmt.Fprintf(stdout, "tcserved: listening on http://%s\n", ln.Addr())
-
-	// SIGQUIT dumps the span ring without stopping the daemon: a wedged
-	// or misbehaving process preserves its recent spans for offline
-	// inspection, then keeps serving.
-	quitCh := make(chan os.Signal, 1)
-	signal.Notify(quitCh, syscall.SIGQUIT)
-	defer signal.Stop(quitCh)
-	go func() {
-		for range quitCh {
-			if path, err := srv.Spanner().WriteDump(flightDir, strconv.FormatInt(time.Now().UnixNano(), 10)); err != nil {
-				logger.Error("flight dump failed", "error", err.Error())
-			} else {
-				logger.Info("flight dump written", "path", path, "trigger", "SIGQUIT")
-			}
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "error", err.Error())
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behavior: a second signal kills us
-
-	// Flip readiness first: load balancers and the cluster gateway stop
-	// routing here while the listener still answers in-flight (and
-	// already-routed) requests; only then stop accepting connections.
-	srv.BeginDrain()
-	logger.Info("draining", "deadline", drainWait)
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainWait)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		logger.Error("http shutdown", "error", err.Error())
-	}
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Error("drain failed", "error", err.Error())
-		return 1
-	}
-	logger.Info("drained")
-	return 0
 }

@@ -27,7 +27,7 @@ func (g *Gateway) handleCollectTrace(w http.ResponseWriter, r *http.Request) {
 			"trace ID must be a sanitized request ID", 0)
 		return
 	}
-	local := g.spans.Dump(rid).Spans
+	local := g.Spanner().Dump(rid).Spans
 	all := append([]obs.Span(nil), local...)
 	for _, i := range g.nodesTouched(local) {
 		spans, err := g.scrapeSpans(r, i, rid)
@@ -58,7 +58,9 @@ func (g *Gateway) nodesTouched(local []obs.Span) []int {
 		}
 	}
 	if out == nil {
-		return g.anyOrder()
+		for i := range g.nodes {
+			out = append(out, i)
+		}
 	}
 	return out
 }

@@ -45,7 +45,8 @@ type Config struct {
 	// the gateway re-hashes to the next ring replica. The zero value
 	// selects 2 attempts with a 100ms base and 1s cap.
 	Retry client.RetryPolicy
-	// Logger receives gateway events (nil discards).
+	// Logger receives the gateway's access lines and events (nil
+	// discards).
 	Logger *slog.Logger
 	// HTTPClient overrides the transport of every call to a node:
 	// proxied requests, readiness probes, trace proxying and span
@@ -69,20 +70,19 @@ type gwMetrics struct {
 
 // Gateway fronts a tcserved cluster: it speaks the exact wire schema of
 // a single node, so client.Client (and every existing tool) works
-// unchanged against it.
+// unchanged against it. It answers health, readiness and the registries
+// itself, through the Shell it shares with tcserved.
 type Gateway struct {
-	cfg          Config
-	nodes        []Node
-	ring         *Ring
-	clients      []*client.Client // proxy path, retry policy installed
-	probeClients []*client.Client // probe path, no retries
-	health       []*nodeHealth
-	httpc        *http.Client
-	mux          *http.ServeMux
-	log          *slog.Logger
-	met          *gwMetrics
-	spans        *obs.Spanner // the process's span starter and its one span ring
-	draining     atomic.Bool
+	*server.Shell // front door, health and registry routes, span ring, drain bit
+	cfg           Config
+	nodes         []Node
+	ring          *Ring
+	clients       []*client.Client // proxy path, retry policy installed
+	probeClients  []*client.Client // probe path, no retries
+	health        []*nodeHealth
+	httpc         *http.Client
+	log           *slog.Logger
+	met           *gwMetrics
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
@@ -133,7 +133,6 @@ func New(cfg Config) (*Gateway, error) {
 		httpc: httpc,
 		log:   log,
 		met:   &gwMetrics{start: time.Now()},
-		spans: obs.NewSpanner("tcgate", obs.NewSpanRing(0)),
 	}
 	for _, n := range cfg.Nodes {
 		retry := cfg.Retry
@@ -153,21 +152,14 @@ func New(cfg Config) (*Gateway, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", g.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleGetJob)
-	mux.HandleFunc("GET /v1/passes", g.handlePasses)
-	mux.HandleFunc("GET /v1/policies", g.handlePolicies)
 	mux.HandleFunc("GET /v1/traces/{sha}", g.handleTraces) // also serves HEAD
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
 	mux.HandleFunc("GET /v1/trace/{id}", g.handleCollectTrace)
-	mux.HandleFunc("GET /healthz", g.handleHealth)
-	mux.HandleFunc("GET /healthz/ready", g.handleReady)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	mux.HandleFunc("GET /debug/spans", server.DebugSpans(g.spans))
-	g.mux = mux
+	// No flight directory: tcgate dumps its span ring on SIGQUIT only.
+	g.Shell = server.NewShell(mux, obs.NewSpanner("tcgate", obs.NewSpanRing(0)), log, "", g.unready)
 	return g, nil
 }
-
-// Handler returns the gateway's HTTP handler.
-func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Start launches the background readiness-probe loop (one synchronous
 // round first, so boot-time health is real before the first request).
@@ -182,9 +174,14 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// BeginDrain flips the gateway's own readiness to 503; proxying
-// continues until Shutdown.
-func (g *Gateway) BeginDrain() { g.draining.Store(true) }
+// unready is the gateway's reason to refuse new work besides draining:
+// no routable node.
+func (g *Gateway) unready() (code, msg string) {
+	if g.Healthy() == 0 {
+		return "bad_gateway", "no healthy backend nodes"
+	}
+	return "", ""
+}
 
 // Shutdown stops the probe loop.
 func (g *Gateway) Shutdown(ctx context.Context) error {
@@ -199,9 +196,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Spanner exposes the gateway's span starter and ring (SIGQUIT dumps).
-func (g *Gateway) Spanner() *obs.Spanner { return g.spans }
 
 // Healthy counts currently routable nodes.
 func (g *Gateway) Healthy() int {
@@ -233,75 +227,40 @@ func (g *Gateway) writeUpstream(w http.ResponseWriter, err error) {
 		"no healthy backend could serve the request: "+err.Error(), 0)
 }
 
-// startRoot opens the gateway's root span for a proxied request and
-// pins the request ID: the caller's (sanitized) if present, a freshly
-// minted one otherwise — the gateway is where a trace is born, so every
-// proxied request gets a usable trace ID even from a bare curl. The
-// returned context carries the root span and makes every backend call
-// forward the ID; the returned finish must run before the response body
-// is written, so a client that immediately asks GET /v1/trace/{rid}
-// finds the root already committed.
-func (g *Gateway) startRoot(w http.ResponseWriter, r *http.Request) (context.Context, *obs.ActiveSpan, string) {
-	rid := obs.SanitizeID(r.Header.Get("X-Request-ID"))
-	if rid == "" {
-		rid = obs.NewSpanID()
-	}
-	w.Header().Set("X-Request-ID", rid)
-	parent := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader))
-	ctx, sp := g.spans.StartRemote(r.Context(), rid, parent, r.Method+" "+r.URL.Path)
-	return client.WithRequestID(ctx, rid), sp, rid
-}
-
-// terminalUpstream reports errors that prove the request itself is bad
-// (or genuinely done): a structured backend response other than the
-// load-shedding statuses, and a job's own timeout (a 504 with code
-// "timeout"), which every replica would answer alike. Those pass
-// through; everything else — 429 after the per-node retry budget, other
-// 5xx, transport failures — triggers failover to the next ring replica.
-func terminalUpstream(err error) bool {
-	var ae *client.APIError
-	if !errors.As(err, &ae) {
-		return false
-	}
-	switch ae.Status {
-	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
-		return false
-	case http.StatusGatewayTimeout:
-		return ae.JobTimeout()
-	}
-	return true
-}
-
-// tryNodes runs call against key's ring preference order: healthy
-// candidates first, every candidate as a last resort (health data may
-// be stale). Demotes nodes that fail with transport/5xx errors, counts
-// re-hashes, and returns the index of the node that answered. Each
-// candidate runs inside an "attempt" span (a child of the request's
-// root span, forwarded to the backend as the trace parent), so a
-// failover walk is a visible sequence of attempts — the failed ones
-// carrying their error — instead of mystery latency.
-func tryNodes[T any](g *Gateway, ctx context.Context, order []int, call func(ctx context.Context, i int, c *client.Client) (T, error)) (T, int, error) {
-	var zero T
-	candidates := make([]int, 0, 2*len(order))
+// healthyFirst is order with the demoted nodes moved behind the healthy
+// ones, each group in ring order. Stale health must never brick a key,
+// so a demoted node is a last resort, not skipped.
+func (g *Gateway) healthyFirst(order []int) []int {
+	out := make([]int, 0, len(order))
+	var down []int
 	for _, i := range order {
 		if g.health[i].ok() {
-			candidates = append(candidates, i)
+			out = append(out, i)
+		} else {
+			down = append(down, i)
 		}
 	}
-	// Stale health must never brick a key: demoted nodes form a second
-	// tier in the same ring order.
-	for _, i := range order {
-		if !g.health[i].ok() {
-			candidates = append(candidates, i)
-		}
-	}
+	return append(out, down...)
+}
+
+// tryNodes posts req to path on the nodes in key's ring preference
+// order, healthy nodes first, and returns the first job a node answers
+// with and that node's index. It demotes nodes that fail with
+// transport/5xx errors and counts re-hashes. Each candidate runs inside
+// an "attempt" span, a child of the request's root span that the client
+// names as the node's trace parent, so a failover walk is a visible
+// sequence of attempts — the failed ones carrying their error — instead
+// of mystery latency. Once ctx has ended, a failed attempt says nothing
+// about its node: the walk stops there, demoting nothing.
+func (g *Gateway) tryNodes(ctx context.Context, key, path string, req *client.JobRequest) (nodeJob, int, error) {
+	order := g.ring.Order(key)
 	traceID := obs.SpanFrom(ctx).TraceID()
 	var lastErr error
-	for _, i := range candidates {
+	for _, i := range g.healthyFirst(order) {
 		if err := ctx.Err(); err != nil {
-			return zero, -1, err
+			return nodeJob{}, -1, err
 		}
-		actx, sp := g.spans.Start(ctx, "attempt")
+		actx, sp := g.Spanner().Start(ctx, "attempt")
 		sp.SetAttr("node", g.nodes[i].Name)
 		if i != order[0] {
 			// Any attempt off the primary replica — whether the owner
@@ -309,33 +268,34 @@ func tryNodes[T any](g *Gateway, ctx context.Context, order []int, call func(ctx
 			g.met.rehashes.Add(1)
 			sp.SetAttr("rehash", "true")
 		}
-		v, err := call(client.WithSpanParent(actx, sp.ID()), i, g.clients[i])
+		job, err := fetchJob(actx, g.clients[i], http.MethodPost, path, req)
 		if err == nil {
 			sp.SetAttr("outcome", "ok")
 			sp.Finish()
-			if g.health[i].markUp() {
-				g.met.promotions.Add(1)
-				g.log.Info("node promoted", "node", g.nodes[i].Name, "via", "proxy")
-			}
-			return v, i, nil
+			g.promote(i, "via", "proxy")
+			return job, i, nil
 		}
 		sp.SetError(err)
-		if terminalUpstream(err) {
-			// The backend answered definitively; its word is the cluster's.
+		var ae *client.APIError
+		api := errors.As(err, &ae)
+		switch {
+		case api && !client.Retryable(err):
+			// The backend answered definitively (a job's own timeout
+			// included); its word is the cluster's.
 			sp.SetAttr("outcome", "terminal")
 			sp.Finish()
-			return zero, i, err
+			return nodeJob{}, i, err
+		case ctx.Err() != nil:
+			// The caller gave up, not the node.
+			sp.SetAttr("outcome", "canceled")
+			sp.Finish()
+			return nodeJob{}, -1, err
 		}
 		sp.SetAttr("outcome", "failover")
 		sp.Finish()
-		var ae *client.APIError
-		if !errors.As(err, &ae) || ae.Status >= 500 {
+		if !api || ae.Status >= 500 {
 			// Transport failure or 5xx: the node itself is suspect.
-			if g.health[i].markDown(err) {
-				g.met.demotions.Add(1)
-				g.log.Warn("node demoted", "node", g.nodes[i].Name, "via", "proxy",
-					"trace_id", traceID, "span_id", sp.ID(), "error", err.Error())
-			}
+			g.demote(i, err, "via", "proxy", "trace_id", traceID, "span_id", sp.ID())
 		}
 		lastErr = err
 		g.log.Warn("rehash", "node", g.nodes[i].Name,
@@ -344,7 +304,7 @@ func tryNodes[T any](g *Gateway, ctx context.Context, order []int, call func(ctx
 	if lastErr == nil {
 		lastErr = errors.New("no candidate nodes")
 	}
-	return zero, -1, lastErr
+	return nodeJob{}, -1, lastErr
 }
 
 // --- job routing ---
@@ -420,8 +380,9 @@ func relayJob(w http.ResponseWriter, status, node int, j nodeJob) {
 // by key, which is what makes blind failover safe: the worst case is a
 // cache hit on the second node.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	ctx, root, rid := g.startRoot(w, r)
-	defer root.Finish()
+	ctx := r.Context()
+	root := obs.SpanFrom(ctx)
+	rid := root.TraceID()
 	var req client.JobRequest
 	if !server.DecodeBody(w, r, g.cfg.MaxBodyBytes, &req) {
 		root.SetAttr("outcome", "bad_request")
@@ -446,9 +407,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if async {
 		path += "?async=1"
 	}
-	job, idx, err := tryNodes(g, ctx, g.ring.Order(key), func(ctx context.Context, _ int, c *client.Client) (nodeJob, error) {
-		return fetchJob(ctx, c, http.MethodPost, path, &req)
-	})
+	job, idx, err := g.tryNodes(ctx, key, path, &req)
 	if err != nil {
 		g.met.jobsErr.Add(1)
 		g.log.Warn("job proxy failed", "trace_id", rid, "request_id", rid,
@@ -479,8 +438,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 // the gateway-issued ID routes the poll; no failover — the job's state
 // lives on exactly that node.
 func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	ctx, root, _ := g.startRoot(w, r)
-	defer root.Finish()
+	root := obs.SpanFrom(r.Context())
 	id := r.PathValue("id")
 	node, rest, ok := splitID(id)
 	if !ok || node >= len(g.nodes) {
@@ -490,7 +448,7 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	root.SetAttr("node", g.nodes[node].Name)
-	job, err := fetchJob(client.WithSpanParent(ctx, root.ID()), g.clients[node],
+	job, err := fetchJob(r.Context(), g.clients[node],
 		http.MethodGet, "/v1/jobs/"+url.PathEscape(rest), nil)
 	if err != nil {
 		root.SetError(err)
@@ -500,47 +458,6 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	}
 	root.Finish()
 	relayJob(w, http.StatusOK, node, job)
-}
-
-// --- registry proxies ---
-
-func (g *Gateway) handlePasses(w http.ResponseWriter, r *http.Request) {
-	ctx, root, _ := g.startRoot(w, r)
-	defer root.Finish()
-	out, _, err := tryNodes(g, ctx, g.anyOrder(), func(ctx context.Context, _ int, c *client.Client) ([]client.Pass, error) {
-		return c.Passes(ctx)
-	})
-	if err != nil {
-		root.SetError(err)
-		g.writeUpstream(w, err)
-		return
-	}
-	root.Finish()
-	server.WriteJSON(w, http.StatusOK, out)
-}
-
-func (g *Gateway) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	ctx, root, _ := g.startRoot(w, r)
-	defer root.Finish()
-	out, _, err := tryNodes(g, ctx, g.anyOrder(), func(ctx context.Context, _ int, c *client.Client) ([]client.Policy, error) {
-		return c.Policies(ctx)
-	})
-	if err != nil {
-		root.SetError(err)
-		g.writeUpstream(w, err)
-		return
-	}
-	root.Finish()
-	server.WriteJSON(w, http.StatusOK, out)
-}
-
-// anyOrder is the preference order for node-agnostic requests.
-func (g *Gateway) anyOrder() []int {
-	out := make([]int, len(g.nodes))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // --- trace CDN proxy ---
@@ -553,7 +470,7 @@ func (g *Gateway) anyOrder() []int {
 func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 	sha := r.PathValue("sha")
 	budget := r.URL.Query().Get("budget")
-	for _, i := range g.orderHealthyFirst(sha) {
+	for _, i := range g.healthyFirst(g.ring.Order(sha)) {
 		u := fmt.Sprintf("%s/v1/traces/%s?budget=%s", g.nodes[i].URL, url.PathEscape(sha), url.QueryEscape(budget))
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, u, nil)
 		if err != nil {
@@ -561,10 +478,12 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := g.httpc.Do(req)
 		if err != nil {
-			if g.health[i].markDown(err) {
-				g.met.demotions.Add(1)
-				g.log.Warn("node demoted", "node", g.nodes[i].Name, "via", "trace-proxy", "error", err.Error())
+			if cerr := r.Context().Err(); cerr != nil {
+				// The caller gave up, not the node; the status is moot.
+				server.WriteError(w, 499, "canceled", cerr.Error(), 0)
+				return
 			}
+			g.demote(i, err, "via", "trace-proxy")
 			continue
 		}
 		if resp.StatusCode == http.StatusOK {
@@ -596,25 +515,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("no node holds a trace for program %s", sha), 0)
 }
 
-// orderHealthyFirst is ring preference order for key with demoted nodes
-// moved to the back.
-func (g *Gateway) orderHealthyFirst(key string) []int {
-	order := g.ring.Order(key)
-	out := make([]int, 0, len(order))
-	for _, i := range order {
-		if g.health[i].ok() {
-			out = append(out, i)
-		}
-	}
-	for _, i := range order {
-		if !g.health[i].ok() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// --- cluster status & health ---
+// --- cluster status ---
 
 // handleCluster implements GET /v1/cluster.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -635,22 +536,4 @@ func (g *Gateway) Status() *client.ClusterStatus {
 		})
 	}
 	return cs
-}
-
-func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReady: the gateway is ready while it is not draining and at
-// least one backend is routable.
-func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
-	if g.draining.Load() {
-		server.WriteError(w, http.StatusServiceUnavailable, "draining", "gateway is draining", 2)
-		return
-	}
-	if g.Healthy() == 0 {
-		server.WriteError(w, http.StatusServiceUnavailable, "bad_gateway", "no healthy backend nodes", 2)
-		return
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }

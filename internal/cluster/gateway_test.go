@@ -22,6 +22,7 @@ import (
 
 	"tcsim"
 	"tcsim/client"
+	"tcsim/internal/obs"
 	"tcsim/internal/server"
 	"tcsim/internal/tracestore"
 )
@@ -791,6 +792,107 @@ func TestGatewayJobTimeoutIsTerminal(t *testing.T) {
 	if got := gm["tcgate_nodes_healthy"]; got != 3 {
 		t.Errorf("tcgate_nodes_healthy = %v, want 3", got)
 	}
+}
+
+// TestGatewayCallerCancelKeepsNodeUp: a failure that only says the
+// caller gave up says nothing about the node. A client whose deadline
+// passes while its node holds the job open leaves that node healthy,
+// with no demotion, no re-hash and an attempt span whose outcome is
+// "canceled". A trace CDN request given up the same way, and a
+// readiness probe that the gateway's own shutdown cuts short, demote
+// nothing either.
+func TestGatewayCallerCancelKeepsNodeUp(t *testing.T) {
+	var hangReady atomic.Bool
+	probing := make(chan struct{}, 1)
+	stop := make(chan struct{})
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz/ready" {
+			if !hangReady.Load() {
+				return // ready
+			}
+			probing <- struct{}{}
+		}
+		select { // hold the request open until its caller leaves
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	t.Cleanup(func() {
+		close(stop)
+		node.Close()
+	})
+	g, err := New(Config{Nodes: []Node{{Name: "node0", URL: node.URL}},
+		ProbeInterval: time.Hour, ProbeTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	t.Cleanup(func() { g.Shutdown(context.Background()) })
+	gts := httptest.NewServer(g.Handler())
+	t.Cleanup(gts.Close)
+
+	keptUp := func(what string) {
+		t.Helper()
+		n := g.Status().Nodes[0]
+		if !n.Healthy || n.Demotions != 0 || n.LastError != "" {
+			t.Errorf("after %s the node is %+v, want healthy with no demotion", what, n)
+		}
+		if d, r := g.met.demotions.Load(), g.met.rehashes.Load(); d != 0 || r != 0 {
+			t.Errorf("after %s: %d demotions and %d re-hashes, want none", what, d, r)
+		}
+	}
+
+	const rid = "caller-cancel-rid"
+	ctx, cancel := context.WithTimeout(client.WithRequestID(context.Background(), rid), 100*time.Millisecond)
+	defer cancel()
+	if _, err := client.New(gts.URL).SubmitJob(ctx, &client.JobRequest{Workload: "gcc", Insts: testInsts}); err == nil {
+		t.Fatal("SubmitJob succeeded against a node that never answers")
+	}
+	// span waits for the gateway to finish the named span of trace rid.
+	span := func(rid, name string) obs.Span {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			for _, sp := range g.Spanner().Dump(rid).Spans {
+				if sp.Name == name {
+					return sp
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the gateway never finished a %q span in trace %s", name, rid)
+			}
+		}
+	}
+	if got := span(rid, "attempt").Attrs["outcome"]; got != "canceled" {
+		t.Errorf("attempt outcome %q, want canceled", got)
+	}
+	keptUp("a caller's cancel")
+
+	const cdnRID = "caller-cancel-cdn-rid"
+	ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, gts.URL+"/v1/traces/abc?budget=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.RequestIDHeader, cdnRID)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("trace proxy answered %s through a node that never answers", resp.Status)
+	}
+	span(cdnRID, "GET /v1/traces/abc")
+	keptUp("a caller's cancel on the trace proxy")
+
+	hangReady.Store(true)
+	pctx, stopProbes := context.WithCancel(context.Background())
+	probed := make(chan struct{})
+	go func() {
+		g.probeAll(pctx)
+		close(probed)
+	}()
+	<-probing
+	stopProbes() // what Shutdown does to a probe round in flight
+	<-probed
+	keptUp("a probe cut short")
 }
 
 func mustMetrics(t *testing.T, n *testNode) map[string]float64 {

@@ -92,16 +92,29 @@ func (g *Gateway) probeAll(ctx context.Context) {
 func (g *Gateway) probe(ctx context.Context, i int) {
 	pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 	defer cancel()
-	err := g.probeClients[i].Ready(pctx)
-	if err != nil {
-		if g.health[i].markDown(err) {
-			g.met.demotions.Add(1)
-			g.log.Warn("node demoted", "node", g.nodes[i].Name, "error", err.Error())
+	if err := g.probeClients[i].Ready(pctx); err != nil {
+		if ctx.Err() == nil { // else Shutdown cut the probe short: it says nothing of the node
+			g.demote(i, err)
 		}
 		return
 	}
+	g.promote(i)
+}
+
+// promote marks node i up, counting and logging the transition; args
+// are added to the log line.
+func (g *Gateway) promote(i int, args ...any) {
 	if g.health[i].markUp() {
 		g.met.promotions.Add(1)
-		g.log.Info("node promoted", "node", g.nodes[i].Name)
+		g.log.Info("node promoted", append([]any{"node", g.nodes[i].Name}, args...)...)
+	}
+}
+
+// demote marks node i down after err, counting and logging the
+// transition; args are added to the log line.
+func (g *Gateway) demote(i int, err error, args ...any) {
+	if g.health[i].markDown(err) {
+		g.met.demotions.Add(1)
+		g.log.Warn("node demoted", append([]any{"node", g.nodes[i].Name, "error", err.Error()}, args...)...)
 	}
 }

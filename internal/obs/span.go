@@ -29,6 +29,11 @@ import (
 // serving layer, which is how BenchmarkCycleLoop stays at 0 allocs/op
 // with tracing compiled in.
 
+// RequestIDHeader names an exchange's request ID, which is its trace
+// ID: a caller may send one, each daemon adopts it through SanitizeID
+// or mints one, and every response echoes it.
+const RequestIDHeader = "X-Request-ID"
+
 // TraceParentHeader carries span context between services, in the shape
 // of a W3C traceparent but with this system's IDs:
 //
@@ -38,6 +43,10 @@ import (
 // split is unambiguous) and the span ID names the caller's span the
 // callee should parent under.
 const TraceParentHeader = "X-Trace-Parent"
+
+// TraceParent is the X-Trace-Parent value that ParseTraceParent reads:
+// spanID of trace traceID.
+func TraceParent(traceID, spanID string) string { return traceID + ":" + spanID }
 
 // SanitizeID accepts an ID only if it is short and header/log-safe —
 // the shared alphabet for request, trace and span IDs (alphanumerics

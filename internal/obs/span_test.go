@@ -48,6 +48,9 @@ func TestParseTraceParent(t *testing.T) {
 			t.Errorf("ParseTraceParent(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
+	if v := TraceParent("req-1", "abcdef0123456789"); ParseTraceParent(v) != "abcdef0123456789" {
+		t.Errorf("ParseTraceParent(TraceParent(...)) = %q from %q, want the span ID back", ParseTraceParent(v), v)
+	}
 }
 
 func TestNilSpanSafety(t *testing.T) {

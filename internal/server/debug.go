@@ -7,17 +7,10 @@ import (
 )
 
 // Debug endpoints: the span views of this process. These serve raw
-// local state — the cross-node collation lives on the gateway
-// (GET /v1/trace/{request-id}), which scrapes /debug/spans here.
-
-// DebugSpans serves GET /debug/spans on tcserved and tcgate alike: sp's
-// ring as an obs.SpanDump, filtered to one trace with
-// ?trace=<request-id>.
-func DebugSpans(sp *obs.Spanner) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, sp.Dump(obs.SanitizeID(r.URL.Query().Get("trace"))))
-	}
-}
+// local state: GET /debug/spans (the Shell's, on both daemons) and
+// GET /debug/trace/{id} here. The cross-node collation lives on the
+// gateway (GET /v1/trace/{request-id}), which scrapes /debug/spans on
+// the nodes.
 
 // handleDebugTrace implements GET /debug/trace/{job-id}: a merged
 // Chrome trace for one finished job — the request's service-level spans

@@ -13,6 +13,7 @@ import (
 	"tcsim"
 	"tcsim/internal/memo"
 	"tcsim/internal/obs"
+	"tcsim/internal/tracestore"
 )
 
 // Errors the HTTP layer maps to backpressure responses.
@@ -40,9 +41,10 @@ type EngineConfig struct {
 	// Limits bounds individual jobs.
 	Limits Limits
 	// Store selects the trace store jobs capture and replay through (nil
-	// = the process-wide shared store). Hosts embedding several engines
-	// in one process — the cluster tests boot three nodes in-process —
-	// give each its own so per-node capture counters stay meaningful.
+	// = the process-wide shared store, which NewEngine resolves once).
+	// Hosts embedding several engines in one process — the cluster tests
+	// boot three nodes in-process — give each its own so per-node capture
+	// counters stay meaningful.
 	Store *tcsim.TraceStore
 }
 
@@ -61,6 +63,9 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	}
 	if c.Limits.DefaultTimeout <= 0 {
 		c.Limits.DefaultTimeout = 60 * time.Second
+	}
+	if c.Store == nil {
+		c.Store = tracestore.Shared()
 	}
 	return c
 }
@@ -121,8 +126,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// Store returns the trace store this engine's jobs run through (nil
-// means the process-wide shared store).
+// Store returns the trace store this engine's jobs run through, which
+// the daemon's /metrics and trace CDN read as well.
 func (e *Engine) Store() *tcsim.TraceStore { return e.cfg.Store }
 
 // Limits returns the engine's per-job bounds for request resolution.

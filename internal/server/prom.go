@@ -118,7 +118,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		"Seeks that restored architectural state from a capture-time checkpoint.",
 		float64(m.sampRestores.Load()))
 
-	ts := s.traceStore().Stats()
+	ts := s.engine.Store().Stats()
 	e.Counter("tcserved_tracestore_captures_total",
 		"Correct-path streams captured into the trace store (emulated or disk-loaded).",
 		float64(ts.Captures))

@@ -9,10 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"tcsim"
 	"tcsim/client"
 	"tcsim/internal/obs"
 	"tcsim/internal/tracestore"
@@ -37,33 +35,24 @@ type Config struct {
 	// each attempt.
 	Service string
 	// FlightDir, when set, enables automatic span-ring dumps: a 5xx
-	// response overwrites flight-<service>-last5xx.json there. SIGQUIT
-	// dumps (wired in cmd/tcserved) land there too.
+	// response overwrites flight-<service>-last5xx.json there.
+	// cmd/tcserved passes the same directory to Serve for SIGQUIT dumps.
 	FlightDir string
 }
 
-// Server is the tcserved HTTP front end: job lifecycle, pass registry,
-// health, and metrics. Create with New, mount via Handler,
-// stop with Shutdown.
+// Server is the tcserved HTTP front end: job lifecycle, trace CDN,
+// metrics and debug views, behind the Shell it shares with tcgate.
+// Create with New, mount via Handler, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	engine  *Engine
-	jobs    *jobStore
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in the observability middleware
-	log     *slog.Logger
-	spans   *obs.Spanner // the process's span starter and its one span ring
+	*Shell // front door, health and registry routes, span ring, drain bit
+	cfg    Config
+	engine *Engine
+	jobs   *jobStore
 
 	// baseCtx parents async job execution so Shutdown can cancel what
 	// the drain deadline abandons.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
-
-	// draining flips readiness (GET /healthz/ready) to 503 the moment a
-	// graceful shutdown begins — before any work stops being accepted —
-	// so balancers and the cluster gateway stop routing first. Liveness
-	// (GET /healthz) stays green for the whole drain.
-	draining atomic.Bool
 }
 
 // New builds a server.
@@ -84,55 +73,20 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		engine:     NewEngine(cfg.Engine),
 		jobs:       newJobStore(cfg.JobTTL),
-		log:        log,
-		spans:      obs.NewSpanner(service, obs.NewSpanRing(0)),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 	}
-	s.engine.spans = s.spans
+	spans := obs.NewSpanner(service, obs.NewSpanRing(0))
+	s.engine.spans = spans
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("GET /v1/passes", s.handlePasses)
-	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
 	mux.HandleFunc("GET /v1/traces/{sha}", s.handleTrace) // also serves HEAD
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /debug/spans", DebugSpans(s.spans))
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
-	s.mux = mux
-	s.handler = s.withObs(mux)
+	s.Shell = NewShell(mux, spans, log, cfg.FlightDir, nil)
 	return s
 }
-
-// Handler returns the HTTP handler to serve: the route mux wrapped in
-// the request-ID / access-log middleware.
-func (s *Server) Handler() http.Handler { return s.handler }
-
-// Spanner exposes the server's span starter and ring (SIGQUIT dumps).
-func (s *Server) Spanner() *obs.Spanner { return s.spans }
-
-// dumpFlightOn5xx preserves the span ring after a server error. It
-// overwrites a fixed file name so a 5xx storm keeps the latest context
-// without growing the directory; no FlightDir means no dump.
-func (s *Server) dumpFlightOn5xx() {
-	if s.cfg.FlightDir == "" {
-		return
-	}
-	if path, err := s.spans.WriteDump(s.cfg.FlightDir, "last5xx"); err != nil {
-		s.log.Warn("flight dump failed", "error", err.Error())
-	} else {
-		s.log.Info("flight dump written", "path", path, "trigger", "5xx")
-	}
-}
-
-// BeginDrain flips readiness to 503 without refusing any work: jobs
-// already in flight and new submissions both still run. Call it first
-// on SIGTERM — before http.Server.Shutdown — so the gateway and any LB
-// stop routing to this node while it is still fully serving; then close
-// the listener and call Shutdown. Idempotent.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Shutdown drains the server: no new work is admitted, and every
 // admitted job (sync and async) finishes, or is cancelled once ctx
@@ -247,12 +201,12 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) b
 // a saturated daemon rejects with 429 at submission time and async
 // submissions can never grow an unbounded backlog.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	rid := requestID(r.Context())
+	serve := obs.SpanFrom(r.Context())
+	rid := serve.TraceID()
 	var req client.JobRequest
 	if !DecodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
 		return
 	}
-	serve := obs.SpanFrom(r.Context())
 	rj, err := resolveSpec(&req, s.engine.Limits())
 	if err != nil {
 		s.log.Warn("job rejected", "trace_id", rid, "request_id", rid,
@@ -375,44 +329,6 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) 
 	return j, ok
 }
 
-// handlePasses implements GET /v1/passes from the pass registry.
-func (s *Server) handlePasses(w http.ResponseWriter, r *http.Request) {
-	var out []client.Pass
-	for _, p := range tcsim.Passes() {
-		out = append(out, client.Pass{Name: p.Name, Desc: p.Desc, Default: p.Default})
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// handlePolicies implements GET /v1/policies from the replacement-policy
-// registry, mirroring /v1/passes.
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	var out []client.Policy
-	for _, p := range tcsim.Policies() {
-		out = append(out, client.Policy{Name: p.Name, Desc: p.Desc, Default: p.Default, Oracle: p.Oracle})
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// handleHealth implements GET /healthz — liveness. It answers 200 for
-// as long as the process serves HTTP, including during a graceful
-// drain: a draining node is alive, just not ready.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReady implements GET /healthz/ready — readiness. It flips to
-// 503 the moment BeginDrain is called, while submissions still succeed,
-// so routing stops strictly before work does.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "draining",
-			"server is draining and should receive no new work", 2)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
 // ContentTypeTrace is the media type of serialized trace bodies served
 // by GET /v1/traces/{sha} — the PR 5 versioned on-disk format (magic
 // "TCTR", version, uvarint header, varint columns, CRC-32 trailer).
@@ -439,7 +355,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"budget query parameter must be a positive integer", 0)
 		return
 	}
-	raw, err := s.traceStore().ExportBytes(name, budget, r.Method != http.MethodHead)
+	raw, err := s.engine.Store().ExportBytes(name, budget, r.Method != http.MethodHead)
 	switch {
 	case errors.Is(err, tracestore.ErrUnavailable):
 		WriteError(w, http.StatusNotFound, "not_found",
@@ -448,7 +364,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		// A persisted trace failed validation: refuse to serve it and say
 		// so loudly — the peer will capture live instead.
-		s.log.Warn("trace export rejected", "request_id", requestID(r.Context()),
+		s.log.Warn("trace export rejected", "request_id", obs.SpanFrom(r.Context()).TraceID(),
 			"workload", name, "budget", budget, "error", err.Error())
 		WriteError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return
@@ -462,13 +378,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write(raw)
-}
-
-// traceStore returns the store this server's jobs and trace CDN run
-// against: the engine's own when configured, else the process-wide one.
-func (s *Server) traceStore() *tcsim.TraceStore {
-	if st := s.engine.Store(); st != nil {
-		return st
-	}
-	return tracestore.Shared()
 }

@@ -378,7 +378,7 @@ func TestConcurrentJobsJoinOneSimulation(t *testing.T) {
 	const rid2 = "join-second"
 	waiting := make(chan struct{}, 1)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(reqIDHeader) == rid2 {
+		if r.Header.Get(obs.RequestIDHeader) == rid2 {
 			r = r.WithContext(doneSignal{r.Context(), waiting})
 		}
 		srv.Handler().ServeHTTP(w, r)
